@@ -3,9 +3,9 @@ Density operators, spectra, and entropy inequalities
 ====================================================
 
 The linear-algebra layer: density operators carry explicit bitstring
-basis labels, eigensystems come from a hand-rolled complex Jacobi
-sweep, and entropies of marginals can be combined into arbitrary
-linear inequality expressions.
+basis labels, eigensystems come from LAPACK's Hermitian solver with
+each eigenvector's phase fixed, and entropies of marginals can be
+combined into arbitrary linear inequality expressions.
 """
 
 import numpy as np

@@ -28,6 +28,7 @@ import dataclasses
 import hashlib
 import io
 import json
+import os
 import sys
 from collections.abc import Sequence
 
@@ -35,10 +36,10 @@ from . import __version__
 from .errors import FormatError, QFockError
 from .fock import (
     EPS_TOKEN,
-    QString,
     average_length,
     base_length,
     dump_qstring,
+    is_bitstring,
     pair_decode,
     pair_encode,
     read_qstring_file,
@@ -52,18 +53,17 @@ from .codes import (
     shannon_code,
 )
 from .linalg import (
-    DensityOperator,
     Ensemble,
     density_from_ensemble,
     dump_ensemble,
     eig_hermitian,
+    entropy_of_spectrum,
     read_ensemble_file,
     shannon_entropy,
-    von_neumann_entropy,
     write_ensemble_file,
 )
 from .qcode import (
-    EIG_FLOOR,
+    eigen_ensemble,
     encode_qstring,
     lossy_typical_projection,
     sw_lossless_code,
@@ -168,7 +168,7 @@ def _parse_probs(text: str) -> list[float]:
 def _parse_bits_arg(token: str) -> str:
     if token == EPS_TOKEN:
         return ""
-    if not set(token) <= {"0", "1"}:
+    if not is_bitstring(token):
         raise _UsageError(f"bad bitstring argument {token!r} (use '{EPS_TOKEN}' for empty)")
     return token
 
@@ -191,10 +191,6 @@ def _build_catalog(args) -> tuple[MachineCatalog, list[str]]:
     if not machines:
         raise _UsageError("no machines given; use --machine, --identity or --sd-identity")
     return MachineCatalog(machines), inputs
-
-
-def _spectrum(rho: DensityOperator) -> list[float]:
-    return [float(x) for x in eig_hermitian(rho).eigenvalues]
 
 
 # --- subcommand handlers -----------------------------------------------------
@@ -255,9 +251,14 @@ def _cmd_selfdelim(args):
 
 def _cmd_entropy(args):
     rho = density_from_ensemble(read_ensemble_file(args.rho))
-    eigs = _spectrum(rho)
+    dec = eig_hermitian(rho)
+    eigs = [float(x) for x in dec.eigenvalues]
     return (
-        {"entropy": von_neumann_entropy(rho), "dim": rho.dim, "eigenvalues": eigs},
+        {
+            "entropy": entropy_of_spectrum(dec.eigenvalues),
+            "dim": rho.dim,
+            "eigenvalues": eigs,
+        },
         {"psd": min(eigs) >= -1e-9},
         [args.rho],
         None,
@@ -388,8 +389,8 @@ def _cmd_complexity(args):
 
 
 def _cmd_universal(args):
-    cat, inputs = _build_catalog(args)
     state = read_qstring_file(args.state)
+    cat, inputs = _build_catalog(args)
     est = universal_complexity(cat, state)
     return (
         {
@@ -405,15 +406,17 @@ def _cmd_universal(args):
 
 def _cmd_kq(args):
     with open(args.programs, "r", encoding="utf-8") as fh:
-        programs, _ = load_program_table(fh.read(), base_dir=".")
+        programs, _ = load_program_table(
+            fh.read(), base_dir=os.path.dirname(args.programs) or "."
+        )
     state = read_qstring_file(args.state)
     value = fidelity_penalized_complexity(programs, state)
     return ({"value": value}, {}, [args.programs, args.state], None)
 
 
 def _cmd_incompress(args):
-    cat, inputs = _build_catalog(args)
     states = [read_qstring_file(p) for p in args.state]
+    cat, inputs = _build_catalog(args)
     rep = incompressibility_report(states, cat)
     return (
         {
@@ -546,22 +549,13 @@ def _cmd_ineq(args):
 def _cmd_randrho(args, seed: int):
     rho = random_density(args.dim, seed)
     dec = eig_hermitian(rho)
-    entries = []
-    for k, lam in enumerate(dec.eigenvalues):
-        if lam < EIG_FLOOR:
-            continue
-        vec = dec.eigenvectors[:, k]
-        terms = {
-            rho.basis[i]: complex(vec[i]) for i in range(rho.dim) if abs(vec[i]) > 1e-12
-        }
-        entries.append((float(lam), QString(terms, normalize=True)))
-    ens = Ensemble(entries)
+    ens = Ensemble(eigen_ensemble(rho, dec))
     if args.out_ens:
         write_ensemble_file(args.out_ens, ens)
     return (
         {
             "dim": rho.dim,
-            "entropy": von_neumann_entropy(rho),
+            "entropy": entropy_of_spectrum(dec.eigenvalues),
             "eigenvalues": [float(x) for x in dec.eigenvalues],
             "ensemble_text": dump_ensemble(ens),
         },

@@ -10,7 +10,7 @@ smallest codeword that keeps the table prefix-free.
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
 
 from .errors import (
@@ -43,7 +43,8 @@ def ceil_neg_log2(x: float, *, snap: float = 1e-9) -> int:
     return max(0, math.ceil(v))
 
 
-def _check_prefix_free(words: Sequence[str]) -> None:
+def check_prefix_free(words: Iterable[str]) -> None:
+    """Raise :class:`NotPrefixFreeError` if one word is a prefix of another."""
     ordered = sorted(words)
     for a, b in zip(ordered, ordered[1:]):
         if b.startswith(a):
@@ -66,7 +67,7 @@ class PrefixCode:
             clean[idx] = check_bitstring(word)
         if not clean:
             raise ValueError("codeword table is empty")
-        _check_prefix_free(list(clean.values()))
+        check_prefix_free(clean.values())
         # Prefix-freeness already implies the Kraft inequality; the exact
         # recheck guards against future edits breaking that argument.
         if kraft_sum_exact(len(w) for w in clean.values()) > 1:

@@ -30,7 +30,7 @@ import os
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 
-from .codes import ceil_neg_log2
+from .codes import ceil_neg_log2, check_prefix_free
 from .errors import (
     CapExceededError,
     DuplicateKeyError,
@@ -38,7 +38,6 @@ from .errors import (
     NoDescriberError,
     NoOverlapError,
     NotOrthonormalError,
-    NotPrefixFreeError,
     OutOfSpanError,
 )
 from .fock import (
@@ -48,6 +47,7 @@ from .fock import (
     delimit_bits,
     format_inline_state,
     inner_product,
+    is_bitstring,
     length_lex,
     parse_inline_state,
     read_qstring_file,
@@ -93,12 +93,7 @@ class DescriberMachine:
         if not table:
             raise ValueError("machine has no programs")
         if prefix_flag:
-            ordered = sorted(table)
-            for a, b in zip(ordered, ordered[1:]):
-                if b.startswith(a):
-                    raise NotPrefixFreeError(
-                        f"program {a or EPS_TOKEN!r} is a prefix of {b!r}"
-                    )
+            check_prefix_free(table)
         self._check_outputs_orthonormal(table)
         self._programs = table
         self._prefix_flag = bool(prefix_flag)
@@ -375,7 +370,7 @@ def load_program_table(
         lhs, rhs = line.split("->", 1)
         token = lhs.strip()
         prog = "" if token == EPS_TOKEN else token
-        if prog and not set(prog) <= {"0", "1"}:
+        if not is_bitstring(prog):
             raise FormatError(f"line {lineno}: bad program token {token!r}")
         if prog in programs:
             raise FormatError(f"line {lineno}: duplicate program {token!r}")

@@ -40,10 +40,6 @@ class NotHermitianError(QFockError):
     """Matrix is not Hermitian within tolerance."""
 
 
-class ConvergenceFailureError(QFockError):
-    """The eigensolver exhausted its rotation budget before converging."""
-
-
 class InvalidDistributionError(QFockError):
     """A probability vector is malformed (negative, tiny, or wrong sum)."""
 

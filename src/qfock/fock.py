@@ -43,11 +43,16 @@ LENGTH_CAP = 1 << 20
 NORM_TOL = 1e-9
 
 
+def is_bitstring(bits: str) -> bool:
+    """Whether the string holds only ``'0'``/``'1'`` (the empty string does)."""
+    return not bits.strip("01")
+
+
 def check_bitstring(bits: str) -> str:
     """Validate a classical bitstring label and return it unchanged."""
     if not isinstance(bits, str):
         raise TypeError(f"bitstring must be str, got {type(bits).__name__}")
-    if not set(bits) <= {"0", "1"}:
+    if not is_bitstring(bits):
         raise ValueError(f"bitstring may contain only '0'/'1': {bits!r}")
     if len(bits) > LENGTH_CAP:
         raise LengthCapExceededError(
@@ -257,7 +262,7 @@ def _format_bits(bits: str) -> str:
 def _parse_bits(token: str) -> str:
     if token == EPS_TOKEN:
         return ""
-    if not token or not set(token) <= {"0", "1"}:
+    if not token or not is_bitstring(token):
         raise FormatError(f"bad bitstring token {token!r}")
     return token
 

@@ -5,14 +5,9 @@ codes, and machines built on bitstrings can move in and out of matrix
 form without bookkeeping at the call sites.  All logarithms are base 2;
 entropies are in bits.
 
-The eigensolver is a cyclic complex Jacobi iteration.  Each rotation
-exactly annihilates one off-diagonal pivot of the working matrix while
-accumulating the same rotation into the eigenvector matrix, so the
-reconstruction ``V diag(w) V^dag`` tracks the input to round-off.  The
-sweep loop stops once the off-diagonal Frobenius norm falls below
-``EIG_OFF_THRESHOLD`` and gives up (``ConvergenceFailureError``) after
-``100 * d**2`` rotations, a budget far beyond the handful of sweeps the
-method actually needs.
+The eigensolver is LAPACK's Hermitian ``eigh`` (through numpy), with
+the order of ties and the phase of each eigenvector fixed by this module
+rather than by the LAPACK build.
 """
 
 from __future__ import annotations
@@ -25,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    ConvergenceFailureError,
     DimensionCapExceededError,
     DimensionMismatchError,
     FormatError,
@@ -45,9 +39,8 @@ from .fock import (
 HERM_TOL = 1e-9
 TRACE_TOL = 1e-9
 PROB_TOL = 1e-9
-EIG_OFF_THRESHOLD = 1e-12
-EIG_ROTATION_BUDGET = 100  # times d**2
 EIG_CLAMP = 1e-9
+PHASE_TIE_TOL = 1e-9
 DIM_CAP = 1 << 12
 
 
@@ -179,67 +172,29 @@ def density_from_ensemble(e: Ensemble | Iterable[tuple[float, QString]]) -> Dens
     return DensityOperator(basis, m)
 
 
-def _jacobi(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    d = matrix.shape[0]
-    a = matrix.astype(complex).copy()
-    v = np.eye(d, dtype=complex)
-    if d == 1:
-        return a.real.diagonal().copy(), v
-    budget = EIG_ROTATION_BUDGET * d * d
-    rotations = 0
-    # skipping pivots below this cannot leave the off-norm above threshold
-    pivot_floor = EIG_OFF_THRESHOLD / (d * d)
-    while True:
-        off = a - np.diag(np.diag(a))
-        if math.sqrt(float(np.sum(np.abs(off) ** 2))) <= EIG_OFF_THRESHOLD:
-            break
-        for p in range(d - 1):
-            for q in range(p + 1, d):
-                apq = a[p, q]
-                r = abs(apq)
-                if r <= pivot_floor:
-                    continue
-                rotations += 1
-                if rotations > budget:
-                    raise ConvergenceFailureError(
-                        f"eigensolver exceeded {budget} rotations at dim {d}"
-                    )
-                phase = apq / r
-                tau = (a[q, q].real - a[p, p].real) / (2.0 * r)
-                t = (1.0 if tau >= 0.0 else -1.0) / (abs(tau) + math.hypot(1.0, tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                rqp = -s * phase.conjugate()
-                rqq = c * phase.conjugate()
-                colp = a[:, p] * c + a[:, q] * rqp
-                colq = a[:, p] * s + a[:, q] * rqq
-                a[:, p] = colp
-                a[:, q] = colq
-                rowp = c * a[p, :] + rqp.conjugate() * a[q, :]
-                rowq = s * a[p, :] + rqq.conjugate() * a[q, :]
-                a[p, :] = rowp
-                a[q, :] = rowq
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                a[p, p] = a[p, p].real
-                a[q, q] = a[q, q].real
-                vp = v[:, p] * c + v[:, q] * rqp
-                vq = v[:, p] * s + v[:, q] * rqq
-                v[:, p] = vp
-                v[:, q] = vq
-    return a.real.diagonal().copy(), v
-
-
 def eig_hermitian(rho: DensityOperator | np.ndarray) -> SpectralDecomposition:
-    """Full spectral decomposition, eigenvalues sorted descending."""
+    """Full spectral decomposition, eigenvalues sorted descending.
+
+    An eigenvector's pivot is its largest-magnitude component, the first
+    one within ``PHASE_TIE_TOL`` of the largest.  Each eigenvector is
+    scaled so that its pivot is real and positive, and equal eigenvalues
+    are ordered by the position of their pivots, so neither the phases
+    nor the order of ties depend on the LAPACK build.
+    """
     m = rho.matrix if isinstance(rho, DensityOperator) else np.asarray(rho, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"matrix must be square, got shape {m.shape}")
     herm_err = float(np.max(np.abs(m - m.conj().T)))
     if herm_err > HERM_TOL:
         raise NotHermitianError(f"Hermiticity violated by {herm_err:.3e}")
-    vals, vecs = _jacobi(m)
-    order = np.argsort(-vals, kind="stable")
+    vals, vecs = np.linalg.eigh(m)
+    mags = np.abs(vecs)
+    pivot = np.argmax(mags >= mags.max(axis=0) - PHASE_TIE_TOL, axis=0)
+    cols = np.arange(len(vals))
+    peak = vecs[pivot, cols]
+    vecs = vecs * (np.abs(peak) / peak)
+    vecs[pivot, cols] = np.abs(peak)
+    order = np.lexsort((pivot, -vals))
     vals = np.ascontiguousarray(vals[order])
     vecs = np.ascontiguousarray(vecs[:, order])
     vals.flags.writeable = False

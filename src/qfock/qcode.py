@@ -36,6 +36,7 @@ from .errors import (
 from .fock import QString, average_length, inner_product
 from .linalg import (
     DensityOperator,
+    SpectralDecomposition,
     eig_hermitian,
     entropy_of_spectrum,
 )
@@ -112,31 +113,41 @@ def encode_qstring(code: CondensableCode, state: QString) -> QString:
     return QString(terms, normalize=True)
 
 
-def sw_lossless_code(rho: DensityOperator) -> CondensableCode:
-    """Lossless code for ``rho``: canonical codewords of length
-    ``ceil(-log2 eigenvalue)`` over its eigenbasis.
+def eigen_ensemble(
+    rho: DensityOperator, dec: SpectralDecomposition
+) -> list[tuple[float, QString]]:
+    """The eigen-ensemble of ``rho`` from its decomposition ``dec``.
 
-    Eigenvalues below ``EIG_FLOOR`` are dropped together with their
-    eigenvectors; they carry no weight at working precision.
+    Each eigenvalue at or above ``EIG_FLOOR`` is paired with its
+    eigenvector as a quantum string over ``rho.basis``, descending.
+    Smaller eigenvalues are dropped together with their eigenvectors;
+    they carry no weight at working precision.
     """
-    dec = eig_hermitian(rho)
-    kept = [
-        (float(lam), dec.eigenvectors[:, k])
-        for k, lam in enumerate(dec.eigenvalues)
-        if lam >= EIG_FLOOR
-    ]
-    if not kept:
-        raise ArityMismatchError("operator has no eigenvalue above the floor")
-    basis_states = []
-    for _, vec in kept:
+    members = []
+    for k, lam in enumerate(dec.eigenvalues):
+        if lam < EIG_FLOOR:
+            continue
+        vec = dec.eigenvectors[:, k]
         terms = {
             rho.basis[i]: complex(vec[i])
             for i in range(rho.dim)
             if abs(vec[i]) > AMP_FLOOR
         }
-        basis_states.append(QString(terms, normalize=True))
-    lengths = [ceil_neg_log2(lam) for lam, _ in kept]
-    return CondensableCode(basis_states, canonical_prefix_code(lengths))
+        members.append((float(lam), QString(terms, normalize=True)))
+    return members
+
+
+def _lossless_code(members: Sequence[tuple[float, QString]]) -> CondensableCode:
+    if not members:
+        raise ArityMismatchError("operator has no eigenvalue above the floor")
+    lengths = [ceil_neg_log2(lam) for lam, _ in members]
+    return CondensableCode([state for _, state in members], canonical_prefix_code(lengths))
+
+
+def sw_lossless_code(rho: DensityOperator) -> CondensableCode:
+    """Lossless code for ``rho``: canonical codewords of length
+    ``ceil(-log2 eigenvalue)`` over its eigen-ensemble."""
+    return _lossless_code(eigen_ensemble(rho, eig_hermitian(rho)))
 
 
 @dataclass(frozen=True)
@@ -176,10 +187,9 @@ def compression_report(
 
 def sw_report(rho: DensityOperator) -> tuple[CondensableCode, CompressionReport]:
     """Build the lossless code of ``rho`` and report it on the eigen-ensemble."""
-    code = sw_lossless_code(rho)
-    dec = eig_hermitian(rho)
-    probs = [float(lam) for lam in dec.eigenvalues if lam >= EIG_FLOOR]
-    return code, compression_report(code, probs)
+    members = eigen_ensemble(rho, eig_hermitian(rho))
+    code = _lossless_code(members)
+    return code, compression_report(code, [lam for lam, _ in members])
 
 
 def kraft_condensable_check(states: Sequence[QString]) -> float:

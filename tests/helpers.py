@@ -73,3 +73,36 @@ def binomial_tail_success(p, n, budget):
         if max(0, math.ceil(v)) <= budget:
             total += math.comb(n, i) * (p**i) * (q ** (n - i))
     return min(total, 1.0)
+
+
+def jacobi_eigh(matrix, tol=1e-12, max_sweeps=50):
+    """Cyclic complex Jacobi eigensolver, an oracle independent of LAPACK.
+
+    Each rotation annihilates one off-diagonal pivot and is accumulated
+    into the eigenvector matrix.  Returns ``(eigenvalues, eigenvectors)``
+    in no particular order; asserts that the off-diagonal Frobenius norm
+    drops below ``tol`` within ``max_sweeps`` sweeps.
+    """
+    a = np.array(matrix, dtype=complex)
+    d = a.shape[0]
+    v = np.eye(d, dtype=complex)
+    for _ in range(max_sweeps):
+        if np.linalg.norm(a - np.diag(np.diag(a))) <= tol:
+            return a.real.diagonal().copy(), v
+        for p in range(d - 1):
+            for q in range(p + 1, d):
+                r = abs(a[p, q])
+                if r == 0.0:
+                    continue
+                phase = a[p, q] / r
+                tau = (a[q, q].real - a[p, p].real) / (2.0 * r)
+                t = (1.0 if tau >= 0.0 else -1.0) / (abs(tau) + math.hypot(1.0, tau))
+                c = 1.0 / math.sqrt(1.0 + t * t)
+                s = t * c
+                # columns p, q of the unitary rotation
+                rot = np.array([[c, s], [-s * phase.conjugate(), c * phase.conjugate()]])
+                a[:, [p, q]] = a[:, [p, q]] @ rot
+                a[[p, q], :] = rot.conj().T @ a[[p, q], :]
+                a[p, q] = a[q, p] = 0.0
+                v[:, [p, q]] = v[:, [p, q]] @ rot
+    raise AssertionError(f"Jacobi did not converge in {max_sweeps} sweeps")

@@ -2,6 +2,10 @@ import json
 
 import pytest
 
+import qfock.cli
+import qfock.linalg
+import qfock.qcode
+from qfock import load_ensemble
 from qfock.cli import main
 
 PLUS = "0 0.70710678118654752 0.0\n1 0.70710678118654752 0.0\n"
@@ -248,6 +252,75 @@ def test_randrho_deterministic_and_file(workdir, capsys):
     assert rep3["result"]["entropy"] == pytest.approx(
         rep1["result"]["entropy"], abs=1e-6
     )
+
+
+def test_kq_resolves_states_next_to_the_machine_file(tmp_path, capsys, monkeypatch):
+    d = tmp_path / "d"
+    d.mkdir()
+    (d / "s0.qstr").write_text("0 1.0 0.0\n")
+    (d / "m.qm").write_text("prefix: true\n0 -> s0.qstr\n")
+    elsewhere = tmp_path / "elsewhere"
+    elsewhere.mkdir()
+    monkeypatch.chdir(elsewhere)
+    rep = run_json(capsys, ["kq", "--programs", d / "m.qm", "--state", d / "s0.qstr"])
+    assert rep["result"]["value"] == 1
+
+
+@pytest.mark.parametrize("command", ["universal", "incompress"])
+def test_malformed_state_fails_before_the_catalog_is_built(
+    command, workdir, capsys, monkeypatch
+):
+    def no_build(max_len):
+        raise AssertionError("catalog built before --state was parsed")
+
+    monkeypatch.setattr(qfock.cli, "identity_machine", no_build)
+    (workdir / "bad.qstr").write_text("zz 1 0\n")
+    code, out = run(
+        capsys, [command, "--identity", "16", "--state", workdir / "bad.qstr"]
+    )
+    assert code == 4
+    assert json.loads(out)["error"]["type"] == "FormatError"
+
+
+@pytest.fixture()
+def eig_calls(monkeypatch):
+    """Count eig_hermitian calls through every module that binds it."""
+    calls = []
+    real = qfock.linalg.eig_hermitian
+
+    def counting(rho):
+        calls.append(rho)
+        return real(rho)
+
+    for module in (qfock.linalg, qfock.qcode, qfock.cli):
+        monkeypatch.setattr(module, "eig_hermitian", counting)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sw", "--rho", "dyadic.ens"],  # through qcode.sw_report
+        ["entropy", "--rho", "dyadic.ens"],
+        ["randrho", "--dim", "6", "--seed", "77"],
+    ],
+)
+def test_cli_decomposes_once(argv, workdir, capsys, eig_calls):
+    run_json(capsys, [workdir / a if a.endswith(".ens") else a for a in argv])
+    assert len(eig_calls) == 1
+
+
+def test_randrho_phase_convention(capsys):
+    rep = run_json(capsys, ["randrho", "--dim", "6", "--seed", "77"])
+    members = list(load_ensemble(rep["result"]["ensemble_text"]))
+    assert sorted(p for p, _ in members) == pytest.approx(
+        sorted(rep["result"]["eigenvalues"]), abs=1e-8
+    )
+    for _, state in members:
+        # the largest-magnitude amplitude (first in label order) is real positive
+        amps = [state.amplitude(b) for b in sorted(state.keys())]
+        peak = max(amps, key=abs)
+        assert peak.imag == 0.0 and peak.real > 0.0
 
 
 # --- formats, sinks, exit codes ---------------------------------------------------

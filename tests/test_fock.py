@@ -206,6 +206,9 @@ def test_load_skips_comments_and_blanks():
         "0 0.6",  # missing imaginary part
         "0 a b",
         "2 1 0",  # bad alphabet
+        "- 1 0",  # the empty string is 'eps', not '-'
+        "01a0 1 0",
+        "0b1 1 0",
         "0 0.6 0\n0 0.8 0",  # duplicate key
     ],
 )

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from qfock import (
-    ConvergenceFailureError,
     DensityOperator,
     DimensionCapExceededError,
     DimensionMismatchError,
@@ -28,7 +27,9 @@ from qfock import (
     von_neumann_entropy,
     write_ensemble_file,
 )
-from qfock.linalg import DIM_CAP, _jacobi
+from qfock.linalg import DIM_CAP
+
+from helpers import jacobi_eigh
 
 RT2 = math.sqrt(2.0)
 
@@ -149,16 +150,70 @@ def test_eig_rejects_non_hermitian():
         eig_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+def assert_matches_jacobi(h):
+    """Eigenvalues and eigenspaces of ``eig_hermitian`` against Jacobi."""
+    dec = eig_hermitian(h)
+    vals, v = jacobi_eigh(h)
+    order = np.argsort(-vals, kind="stable")
+    vals, v = vals[order], v[:, order]
+    assert np.asarray(dec.eigenvalues) == pytest.approx(vals, abs=1e-12)
+    # compare spectral projectors, which are unique even within clusters
+    for lo, hi in clusters(vals, gap=1e-6):
+        ours = dec.eigenvectors[:, lo:hi]
+        ref = v[:, lo:hi]
+        assert np.max(np.abs(ours @ ours.conj().T - ref @ ref.conj().T)) < 1e-9
+
+
+def clusters(vals, gap):
+    """``(lo, hi)`` slices of a descending spectrum split where it drops by > gap."""
+    cuts = [0] + [k for k in range(1, len(vals)) if vals[k - 1] - vals[k] > gap]
+    return list(zip(cuts, cuts[1:] + [len(vals)]))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 5, 8])
+def test_eig_matches_jacobi_oracle(dim):
+    rng = np.random.default_rng(500 + dim)
+    for _ in range(20):
+        g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        rho = g @ g.conj().T
+        assert_matches_jacobi(rho / np.trace(rho).real)
+
+
 def test_jacobi_near_degenerate_spectrum():
-    # clustered eigenvalues are the classic slow case for cyclic sweeps
+    # clustered eigenvalues are the classic hard case for both solvers
     rng = np.random.default_rng(3)
     base = np.diag([0.5, 0.5 - 1e-13, 1e-13 / 2, 1e-13 / 2])
     g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     q, _ = np.linalg.qr(g)
     h = q @ base @ q.conj().T
     h = (h + h.conj().T) / 2
-    vals, v = _jacobi(h.astype(complex))
+    assert_matches_jacobi(h)
+    vals, v = jacobi_eigh(h)
     assert np.max(np.abs(v @ np.diag(vals) @ v.conj().T - h)) < 1e-9
+
+
+def test_eig_phase_convention():
+    # [[a, b], [b*, a]] with b = i/4: eigenvectors (1, -i)/sqrt2 and (1, i)/sqrt2
+    # up to phase; the tied components make the first one the real pivot
+    dec = eig_hermitian(np.array([[0.5, 0.25j], [-0.25j, 0.5]]))
+    assert list(dec.eigenvalues) == pytest.approx([0.75, 0.25], abs=1e-15)
+    want = np.array([[1.0, 1.0], [-1j, 1j]]) / RT2
+    assert np.max(np.abs(dec.eigenvectors - want)) < 1e-15
+    assert dec.eigenvectors[0, 0].imag == 0.0 and dec.eigenvectors[0, 1].imag == 0.0
+    rng = np.random.default_rng(21)
+    g = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+    vecs = eig_hermitian(g + g.conj().T).eigenvectors
+    for k in range(8):
+        pivot = int(np.argmax(np.abs(vecs[:, k])))
+        assert vecs[pivot, k].imag == 0.0 and vecs[pivot, k].real > 0.0
+
+
+def test_eig_results_are_readonly():
+    dec = eig_hermitian(np.eye(2) / 2)
+    with pytest.raises(ValueError):
+        dec.eigenvalues[0] = 1.0
+    with pytest.raises(ValueError):
+        dec.eigenvectors[0, 0] = 1.0
 
 
 # --- entropies -------------------------------------------------------------------
