@@ -70,7 +70,7 @@ from .qcode import (
     sw_report,
 )
 from .complexity import (
-    DescriberMachine,
+    Describer,
     MachineCatalog,
     fidelity_penalized_complexity,
     identity_machine,
@@ -179,7 +179,7 @@ def _bits_out(bits: str) -> str:
 
 def _build_catalog(args) -> tuple[MachineCatalog, list[str]]:
     """Catalog from repeated --machine files, then --identity/--sd-identity."""
-    machines: list[DescriberMachine] = []
+    machines: list[Describer] = []
     inputs: list[str] = []
     for path in args.machine or []:
         machines.append(read_machine_file(path))

@@ -10,6 +10,10 @@ machine is therefore forced:
 
     value = sum_p |<v_p|state>|**2 * len(p)
 
+:class:`IdentityMachine` needs no table: each term of length <= L is its
+own program, so the value is the average length (``2 * avg + 1`` once
+self-delimited); ``.programs`` materializes the table on request.
+
 A machine catalog plays the role of a finite universal table.  Machine
 i is addressed by the self-delimiting index ``1^len(bin(i)) 0 bin(i)``,
 which costs ``2 * len(bin(i)) + 1`` extra bits; the catalog complexity
@@ -78,11 +82,9 @@ class DescriberMachine:
         *,
         prefix_flag: bool,
     ) -> None:
-        if isinstance(programs, Mapping):
-            pairs = programs.items()
-        else:
-            pairs = list(programs)
+        pairs = programs.items() if isinstance(programs, Mapping) else programs
         table: dict[str, QString] = {}
+        key_index: dict[str, list[str]] = {}
         for prog, out in pairs:
             check_bitstring(prog)
             if prog in table:
@@ -90,6 +92,8 @@ class DescriberMachine:
             if not isinstance(out, QString):
                 raise TypeError("machine outputs must be QString instances")
             table[prog] = out
+            for bits in out.keys():
+                key_index.setdefault(bits, []).append(prog)
         if not table:
             raise ValueError("machine has no programs")
         if prefix_flag:
@@ -97,18 +101,14 @@ class DescriberMachine:
         self._check_outputs_orthonormal(table)
         self._programs = table
         self._prefix_flag = bool(prefix_flag)
-        key_index: dict[str, list[str]] = {}
-        for prog, out in table.items():
-            for bits in out.keys():
-                key_index.setdefault(bits, []).append(prog)
         self._key_index = key_index
 
     @staticmethod
     def _check_outputs_orthonormal(table: dict[str, QString]) -> None:
         # Fast path: single-term outputs with unit amplitude and distinct
-        # labels are orthonormal by construction.  Identity-style machines
-        # can hold 10**5+ programs, so the quadratic Gram check is reserved
-        # for tables with genuine superpositions.
+        # labels are orthonormal by construction.  Machine files can list
+        # many basis-string outputs, so the quadratic Gram check is
+        # reserved for outputs with genuine superpositions.
         simple_keys: set[str] = set()
         general: list[tuple[str, QString]] = []
         for prog, out in table.items():
@@ -153,17 +153,49 @@ class DescriberMachine:
     def output(self, program: str) -> QString:
         return self._programs[program]
 
-    def __len__(self) -> int:
-        return len(self._programs)
-
-    def __contains__(self, program: str) -> bool:
-        return program in self._programs
-
-    def _candidates(self, state: QString) -> list[str]:
-        seen: set[str] = set()
+    def describe(self, state: QString) -> ComplexityEstimate:
+        """Average description length of ``state`` on this machine."""
+        candidates: set[str] = set()
         for bits in state.keys():
-            seen.update(self._key_index.get(bits, ()))
-        return sorted(seen, key=length_lex)
+            candidates.update(self._key_index.get(bits, ()))
+        return _estimate(
+            (prog, abs(inner_product(self._programs[prog], state)) ** 2)
+            for prog in sorted(candidates, key=length_lex)
+        )
+
+
+@dataclass(frozen=True, slots=True)
+class IdentityMachine:
+    """Every string of length <= ``max_len`` describes itself, in closed form.
+
+    With ``prefix_flag`` the program for ``x`` is ``1^len(x) 0 x``.
+    """
+
+    max_len: int
+    prefix_flag: bool
+
+    def __post_init__(self) -> None:
+        if not 0 <= self.max_len <= IDENTITY_MAX_LEN:
+            raise CapExceededError(
+                f"identity machine max_len must be in 0..{IDENTITY_MAX_LEN}, "
+                f"got {self.max_len}"
+            )
+
+    @property
+    def programs(self) -> dict[str, QString]:
+        """The program table, materialized on every read."""
+        return {self._program(b): QString({b: 1.0}) for b in all_bitstrings(self.max_len)}
+
+    def _program(self, bits: str) -> str:
+        return delimit_bits(bits) if self.prefix_flag else bits
+
+    def describe(self, state: QString) -> ComplexityEstimate:
+        """Average description length of ``state`` on this machine."""
+        short = sorted((b for b in state.keys() if len(b) <= self.max_len), key=length_lex)
+        return _estimate((self._program(b), abs(state.amplitude(b)) ** 2) for b in short)
+
+
+Describer = DescriberMachine | IdentityMachine
 
 
 @dataclass(frozen=True)
@@ -181,14 +213,13 @@ class ComplexityEstimate:
     decomposition: dict[str, float] = field(default_factory=dict)
 
 
-def machine_complexity(machine: DescriberMachine, state: QString) -> ComplexityEstimate:
-    """Average description length of ``state`` on one machine."""
+def _estimate(weighted: Iterable[tuple[str, float]]) -> ComplexityEstimate:
+    """The estimate from ``(program, weight)`` pairs in ``length_lex``
+    program order, the one order in which every machine sums."""
     weights: dict[str, float] = {}
     captured = 0.0
     value = 0.0
-    for prog in machine._candidates(state):
-        c = inner_product(machine.output(prog), state)
-        w = abs(c) ** 2
+    for prog, w in weighted:
         captured += w
         if w > AMP_FLOOR:
             weights[prog] = w
@@ -200,7 +231,12 @@ def machine_complexity(machine: DescriberMachine, state: QString) -> ComplexityE
     return ComplexityEstimate(value=float(value), machine_index=None, decomposition=weights)
 
 
-def base_length_complexity(machine: DescriberMachine, state: QString) -> int:
+def machine_complexity(machine: Describer, state: QString) -> ComplexityEstimate:
+    """Average description length of ``state`` on one machine."""
+    return machine.describe(state)
+
+
+def base_length_complexity(machine: Describer, state: QString) -> int:
     """Longest program contributing to the forced decomposition."""
     est = machine_complexity(machine, state)
     lengths = [
@@ -216,23 +252,17 @@ class MachineCatalog:
 
     __slots__ = ("_machines",)
 
-    def __init__(self, machines: Iterable[DescriberMachine]) -> None:
+    def __init__(self, machines: Iterable[Describer]) -> None:
         ms = tuple(machines)
         if not ms:
             raise ValueError("catalog is empty")
-        for m in ms:
-            if not isinstance(m, DescriberMachine):
-                raise TypeError("catalog entries must be DescriberMachine instances")
+        if not all(isinstance(m, Describer) for m in ms):
+            raise TypeError("catalog entries must be describer machines")
         self._machines = ms
 
     @property
-    def machines(self) -> tuple[DescriberMachine, ...]:
+    def machines(self) -> tuple[Describer, ...]:
         return self._machines
-
-    def machine(self, i: int) -> DescriberMachine:
-        if not 1 <= i <= len(self._machines):
-            raise ValueError(f"catalog index {i} out of range 1..{len(self._machines)}")
-        return self._machines[i - 1]
 
     def all_prefix(self) -> bool:
         return all(m.prefix_flag for m in self._machines)
@@ -244,45 +274,41 @@ class MachineCatalog:
         return iter(self._machines)
 
 
+def _spanning(cat: MachineCatalog, state: QString) -> list[tuple[int, ComplexityEstimate]]:
+    """``(index, estimate)`` for every catalog machine that spans ``state``."""
+    found = []
+    for i, machine in enumerate(cat, start=1):
+        try:
+            found.append((i, machine_complexity(machine, state)))
+        except OutOfSpanError:
+            continue
+    if not found:
+        raise NoDescriberError("no machine in the catalog spans the state")
+    return found
+
+
+def _cheapest(spanning: list[tuple[int, ComplexityEstimate]]) -> ComplexityEstimate:
+    """The lowest index-cost-plus-value total; ``min`` keeps the first tie."""
+    i, est = min(spanning, key=lambda pair: index_cost(pair[0]) + pair[1].value)
+    return ComplexityEstimate(float(index_cost(i) + est.value), i, est.decomposition)
+
+
 def universal_complexity(cat: MachineCatalog, state: QString) -> ComplexityEstimate:
     """Cheapest index-cost-plus-description total over the catalog.
 
     Ties go to the lowest machine index; a state no machine spans
     raises :class:`NoDescriberError`.
     """
-    best: ComplexityEstimate | None = None
-    for i, machine in enumerate(cat, start=1):
-        try:
-            est = machine_complexity(machine, state)
-        except OutOfSpanError:
-            continue
-        total = index_cost(i) + est.value
-        if best is None or total < best.value:
-            best = ComplexityEstimate(
-                value=float(total), machine_index=i, decomposition=est.decomposition
-            )
-    if best is None:
-        raise NoDescriberError("no machine in the catalog spans the state")
-    return best
+    return _cheapest(_spanning(cat, state))
 
 
 def min_description_length(cat: MachineCatalog, state: QString) -> float:
     """Best machine-level value over the catalog, without index costs."""
-    best: float | None = None
-    for machine in cat:
-        try:
-            est = machine_complexity(machine, state)
-        except OutOfSpanError:
-            continue
-        if best is None or est.value < best:
-            best = est.value
-    if best is None:
-        raise NoDescriberError("no machine in the catalog spans the state")
-    return best
+    return min(est.value for _, est in _spanning(cat, state))
 
 
 def fidelity_penalized_complexity(
-    programs: Mapping[str, QString] | DescriberMachine, state: QString
+    programs: Mapping[str, QString] | Describer, state: QString
 ) -> int:
     """Cheapest ``len(p) + ceil(-log2 |<state|v_p>|**2)`` over programs.
 
@@ -291,10 +317,7 @@ def fidelity_penalized_complexity(
     against the target.  Raises :class:`NoOverlapError` when every
     output is orthogonal to the target.
     """
-    if isinstance(programs, DescriberMachine):
-        table = programs.programs
-    else:
-        table = dict(programs)
+    table = programs.programs if isinstance(programs, Describer) else dict(programs)
     best: int | None = None
     for prog in sorted(table, key=length_lex):
         f = abs(inner_product(state, table[prog])) ** 2
@@ -315,24 +338,20 @@ def all_bitstrings(max_len: int) -> Iterable[str]:
             yield "".join(tup)
 
 
-def identity_machine(max_len: int) -> DescriberMachine:
+def identity_machine(max_len: int) -> IdentityMachine:
     """The machine mapping every string of length <= max_len to itself."""
-    if max_len > IDENTITY_MAX_LEN:
-        raise CapExceededError(
-            f"identity machine capped at max_len {IDENTITY_MAX_LEN}, got {max_len}"
-        )
-    if max_len < 0:
-        raise ValueError("max_len must be nonnegative")
-    programs = {bits: QString({bits: 1.0}) for bits in all_bitstrings(max_len)}
-    return DescriberMachine(programs, prefix_flag=False)
+    return IdentityMachine(max_len, False)
 
 
-def self_delimit_machine(machine: DescriberMachine) -> DescriberMachine:
+def self_delimit_machine(machine: Describer) -> Describer:
     """Recode every program self-delimitingly: ``p -> 1^len(p) 0 p``.
 
     The recoded table is always prefix-free and its description lengths
-    transform as ``2 * len(p) + 1``.
+    transform as ``2 * len(p) + 1``.  A plain identity machine stays in
+    closed form.
     """
+    if isinstance(machine, IdentityMachine) and not machine.prefix_flag:
+        return IdentityMachine(machine.max_len, True)
     programs = {delimit_bits(p): out for p, out in machine.programs.items()}
     return DescriberMachine(programs, prefix_flag=True)
 
@@ -397,15 +416,13 @@ def read_machine_file(path: str) -> DescriberMachine:
         return load_machine(fh.read(), base_dir=os.path.dirname(path) or ".")
 
 
-def dump_machine(machine: DescriberMachine) -> str:
+def dump_machine(machine: Describer) -> str:
     lines = [f"prefix: {'true' if machine.prefix_flag else 'false'}"]
-    for prog in sorted(machine.programs, key=length_lex):
-        lines.append(
-            f"{prog or EPS_TOKEN} -> {format_inline_state(machine.output(prog))}"
-        )
+    for prog, out in sorted(machine.programs.items(), key=lambda kv: length_lex(kv[0])):
+        lines.append(f"{prog or EPS_TOKEN} -> {format_inline_state(out)}")
     return "\n".join(lines) + "\n"
 
 
-def write_machine_file(path: str, machine: DescriberMachine) -> None:
+def write_machine_file(path: str, machine: Describer) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(dump_machine(machine))

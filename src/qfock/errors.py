@@ -94,8 +94,12 @@ class NoOverlapError(QFockError):
     """No program output has nonzero overlap with the target state."""
 
 
-class CapExceededError(QFockError):
-    """A machine construction parameter exceeds its supported cap."""
+class CapExceededError(QFockError, ValueError):
+    """A size parameter lies outside the range whose work is bounded.
+
+    Raised before any work starts, so an accepted input always finishes
+    in bounded time and memory.
+    """
 
 
 # --- experiments -----------------------------------------------------------

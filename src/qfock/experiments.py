@@ -31,19 +31,19 @@ import numpy as np
 
 from .codes import ceil_neg_log2, kraft_sum
 from .complexity import (
-    ComplexityEstimate,
     MachineCatalog,
+    _cheapest,
+    _spanning,
     index_cost,
-    machine_complexity,
     universal_complexity,
 )
 from .errors import (
     BlockTooLargeForCatalogError,
+    CapExceededError,
     DimOutOfRangeError,
     InvalidAmplitudeError,
     NoDescriberError,
     NotPrefixFreeError,
-    OutOfSpanError,
 )
 from .fock import QString
 from .linalg import (
@@ -131,23 +131,10 @@ def incompressibility_report(
 
     per_state = []
     for sid, state in enumerate(members):
-        est = universal_complexity(cat, state)
-        bare: float | None = None
-        for machine in cat:
-            try:
-                value = machine_complexity(machine, state).value
-            except OutOfSpanError:
-                continue
-            if bare is None or value < bare:
-                bare = value
-        per_state.append(
-            StateComplexity(
-                state_id=sid,
-                catalog_value=est.value,
-                machine_index=est.machine_index or 0,
-                description_length=float(bare),
-            )
-        )
+        spanning = _spanning(cat, state)
+        est = _cheapest(spanning)
+        bare = min(e.value for _, e in spanning)
+        per_state.append(StateComplexity(sid, est.value, est.machine_index, bare))
     max_len = max(s.description_length for s in per_state)
     return IncompressibilityReport(
         member_count=len(members),
@@ -196,7 +183,7 @@ def multicopy_report(alpha2: float, n: int) -> MultiCopyReport:
         )
     n = int(n)
     if not 1 <= n <= MULTICOPY_MAX_N:
-        raise ValueError(f"copy count must be in 1..{MULTICOPY_MAX_N}, got {n}")
+        raise CapExceededError(f"copy count must be in 1..{MULTICOPY_MAX_N}, got {n}")
     beta2 = 1.0 - alpha2
     raw = [alpha2**i * beta2 ** (n - i) for i in range(n + 1)]
     z_norm = float(sum(raw))
@@ -255,7 +242,7 @@ def nonadditivity_search(
     more than ``GAP_TOL``, so a tie cannot be promoted by float noise.
     """
     if m_block < 1:
-        raise ValueError(f"m_block must be at least 1, got {m_block}")
+        raise CapExceededError(f"m_block must be at least 1, got {m_block}")
     lo = 1 << m_block
     hi = 1 << (m_block + 1)
 
@@ -267,13 +254,9 @@ def nonadditivity_search(
                 f"catalog does not span the block [2^{m_block}, 2^{m_block + 1})"
             ) from exc
 
-    n_star = lo
-    best = -math.inf
-    for n in range(lo, hi):
-        value = catalog_value(QString({format(n, "b"): 1.0}))
-        if value > best:
-            best = value
-            n_star = n
+    values = {n: catalog_value(QString({format(n, "b"): 1.0})) for n in range(lo, hi)}
+    n_star = max(values, key=values.__getitem__)
+    best = values[n_star]
     bits_star = format(n_star, "b")
     amp = 1.0 / math.sqrt(2.0)
     phi_plus = QString({"0": amp, bits_star: amp})
@@ -335,7 +318,7 @@ def entropy_sandwich_report(e: Ensemble, cat: MachineCatalog) -> SandwichReport:
     per_member = []
     expected = 0.0
     for p, state in e:
-        est: ComplexityEstimate = universal_complexity(cat, state)
+        est = universal_complexity(cat, state)
         expected += p * est.value
         per_member.append(
             MemberComplexity(

@@ -98,10 +98,13 @@ class QString:
         if not clean:
             raise EmptyStateError("state has no nonzero terms")
         norm2 = sum(abs(a) ** 2 for a in clean.values())
+        # Negated tests, so a NaN norm fails them instead of passing.
         if normalize:
+            if not 0.0 < norm2 < math.inf:
+                raise NotNormalizedError(f"cannot normalize squared norm {norm2!r}")
             scale = 1.0 / math.sqrt(norm2)
             clean = {b: a * scale for b, a in clean.items()}
-        elif abs(norm2 - 1.0) > NORM_TOL:
+        elif not abs(norm2 - 1.0) <= NORM_TOL:
             raise NotNormalizedError(
                 f"squared norm is {norm2!r}, off by more than {NORM_TOL}"
             )

@@ -98,11 +98,12 @@ class DensityOperator:
             )
         if m.shape[0] == 0:
             raise ValueError("dimension must be at least 1")
+        # Negated tests, so NaN entries fail them instead of passing.
         herm_err = float(np.max(np.abs(m - m.conj().T)))
-        if herm_err > HERM_TOL:
+        if not herm_err <= HERM_TOL:
             raise NotHermitianError(f"Hermiticity violated by {herm_err:.3e}")
         tr = complex(np.trace(m))
-        if abs(tr - 1.0) > TRACE_TOL:
+        if not abs(tr - 1.0) <= TRACE_TOL:
             raise ValueError(f"trace is {tr!r}, not 1")
         m.flags.writeable = False
         self._basis = labels
@@ -185,7 +186,7 @@ def eig_hermitian(rho: DensityOperator | np.ndarray) -> SpectralDecomposition:
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"matrix must be square, got shape {m.shape}")
     herm_err = float(np.max(np.abs(m - m.conj().T)))
-    if herm_err > HERM_TOL:
+    if not herm_err <= HERM_TOL:
         raise NotHermitianError(f"Hermiticity violated by {herm_err:.3e}")
     vals, vecs = np.linalg.eigh(m)
     mags = np.abs(vecs)

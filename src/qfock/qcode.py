@@ -28,6 +28,7 @@ from dataclasses import dataclass
 from .codes import PrefixCode, canonical_prefix_code, ceil_neg_log2, kraft_sum
 from .errors import (
     ArityMismatchError,
+    CapExceededError,
     InvalidDeltaError,
     NotOrthogonalError,
     NotOrthonormalError,
@@ -45,6 +46,10 @@ ORTHO_TOL = 1e-8
 SPAN_TOL = 1e-8
 AMP_FLOOR = 1e-12
 EIG_FLOOR = 1e-12
+# About 4 s of enumeration at 3.5-3.7 us per class on a 2-vCPU VM.  The
+# largest configuration in the tests, demos and benchmark, (d=6, n=12),
+# needs 6,188 classes.
+LOSSY_CLASS_CAP = 1 << 20
 
 
 def _check_orthonormal(states: Sequence[QString], tol: float = ORTHO_TOL) -> None:
@@ -245,13 +250,14 @@ def lossy_typical_projection(
 
     A budget of at least ``n log2 dim`` qubits covers even the raw,
     uncompressed block; that case is reported as trivial with success 1
-    rather than treated as an error.
+    rather than treated as an error.  Sources with more than
+    ``LOSSY_CLASS_CAP`` type classes are rejected before enumeration.
     """
     if delta <= 0.0:
         raise InvalidDeltaError(f"delta must be positive, got {delta!r}")
     n = int(n)
     if not 1 <= n <= 64:
-        raise ValueError(f"copy count must be in 1..64, got {n}")
+        raise CapExceededError(f"copy count must be in 1..64, got {n}")
     dec = eig_hermitian(rho)
     lams = [float(lam) for lam in dec.eigenvalues if lam >= EIG_FLOOR]
     entropy = entropy_of_spectrum(dec.eigenvalues)
@@ -261,6 +267,11 @@ def lossy_typical_projection(
 
     d_eff = len(lams)
     total_classes = math.comb(n + d_eff - 1, d_eff - 1)
+    if total_classes > LOSSY_CLASS_CAP:
+        raise CapExceededError(
+            f"{total_classes} type classes for d={d_eff}, n={n} exceed the cap "
+            f"of {LOSSY_CLASS_CAP}"
+        )
     kept_classes = 0
     kept_dimension = 0
     success = 0.0

@@ -4,7 +4,8 @@ import math
 
 import numpy as np
 
-from qfock import QString, make_qstring
+from qfock import QString, delimit_bits, make_qstring
+from qfock.complexity import DescriberMachine
 
 
 def random_unitary(rng, dim):
@@ -45,6 +46,21 @@ def random_orthonormal_family(rng, size, length=None):
         }
         family.append(QString(terms, normalize=True))
     return family
+
+
+def identity_table(max_len, prefix_flag):
+    """The identity machine as a materialized program table.
+
+    Every string of length <= max_len maps to itself, its program
+    delimited as ``1^len 0 x`` when ``prefix_flag`` is set; an oracle for
+    the closed-form ``IdentityMachine``.
+    """
+    programs = {}
+    for n in range(max_len + 1):
+        for v in range(1 << n):
+            bits = format(v, f"0{n}b") if n else ""
+            programs[delimit_bits(bits) if prefix_flag else bits] = QString({bits: 1.0})
+    return DescriberMachine(programs, prefix_flag=prefix_flag)
 
 
 def prefix_free(words):

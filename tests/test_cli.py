@@ -3,6 +3,7 @@ import json
 import pytest
 
 import qfock.cli
+import qfock.complexity
 import qfock.linalg
 import qfock.qcode
 from qfock import load_ensemble
@@ -280,6 +281,49 @@ def test_malformed_state_fails_before_the_catalog_is_built(
     )
     assert code == 4
     assert json.loads(out)["error"]["type"] == "FormatError"
+
+
+def test_identity_catalogs_build_no_program_table(workdir, capsys, monkeypatch):
+    def no_enumeration(max_len):
+        raise AssertionError("program table materialized")
+
+    monkeypatch.setattr(qfock.complexity, "all_bitstrings", no_enumeration)
+    s, plus = workdir / "s.qstr", workdir / "plus.qstr"
+    for argv in (
+        ["universal", "--identity", "20", "--sd-identity", "20", "--state", s],
+        ["incompress", "--sd-identity", "20", "--state", s, "--state", plus],
+        ["nonadd", "--mblock", "4"],
+        ["sandwich", "--ensemble", workdir / "dyadic.ens", "--sd-identity", "20"],
+    ):
+        run_json(capsys, argv)
+
+
+def test_nan_amplitude_is_a_domain_error(workdir, capsys):
+    (workdir / "nan.qstr").write_text("0 nan 0.0\n1 0.5 0.0\n")
+    (workdir / "nan.ens").write_text("1.0 nan.qstr\n")
+    code, out = run(capsys, ["entropy", "--rho", workdir / "nan.ens"])
+    assert code == 1
+    assert json.loads(out)["error"]["type"] == "NotNormalizedError"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["lossy", "--rho", "r8.ens", "--n", "64", "--delta", "0.1"],
+        ["lossy", "--rho", "rho09.ens", "--n", "65", "--delta", "0.1"],
+        ["multicopy", "--alpha2", "0.5", "--n", "61"],
+        ["nonadd", "--mblock", "0"],
+    ],
+)
+def test_out_of_range_sizes_are_domain_errors(argv, workdir, capsys, monkeypatch):
+    probs = [0.3, 0.2, 0.1, 0.1, 0.1, 0.1, 0.05, 0.05]
+    (workdir / "r8.ens").write_text(
+        "".join(f"{p} {{ {i:03b}:1,0 }}\n" for i, p in enumerate(probs))
+    )
+    monkeypatch.chdir(workdir)
+    code, out = run(capsys, argv)
+    assert code == 1
+    assert json.loads(out)["error"]["type"] == "CapExceededError"
 
 
 @pytest.fixture()

@@ -2,6 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import qfock.complexity
 
 from qfock import (
     CapExceededError,
@@ -32,9 +36,9 @@ from qfock import (
     universal_complexity,
     write_machine_file,
 )
-from qfock.complexity import DescriberMachine, MachineCatalog
+from qfock.complexity import DescriberMachine, IdentityMachine, MachineCatalog
 
-from helpers import random_qstring
+from helpers import identity_table, random_qstring
 
 RT2 = math.sqrt(2.0)
 
@@ -146,6 +150,39 @@ def test_identity_machine_is_lossless_on_short_states():
 def test_identity_machine_cap():
     with pytest.raises(CapExceededError):
         identity_machine(21)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10), st.booleans(), st.integers(0, 2**32 - 1))
+def test_identity_machine_matches_materialized_table(max_len, prefix_flag, seed):
+    # some states reach up to two bits past max_len, leaving the span
+    rng = np.random.default_rng(seed)
+    closed = IdentityMachine(max_len, prefix_flag)
+    table = identity_table(max_len, prefix_flag)
+    for reach in (0, 0, 1, 2, 2):
+        pool = (2 << (max_len + reach)) - 1
+        psi = random_qstring(rng, max_len=max_len + reach, max_terms=min(4, pool))
+        try:
+            want = machine_complexity(table, psi)
+        except OutOfSpanError:
+            with pytest.raises(OutOfSpanError):
+                machine_complexity(closed, psi)
+            continue
+        assert machine_complexity(closed, psi) == want
+
+
+def test_identity_machines_build_no_program_table(monkeypatch):
+    def no_enumeration(max_len):
+        raise AssertionError("program table materialized")
+
+    monkeypatch.setattr(qfock.complexity, "all_bitstrings", no_enumeration)
+    plain = identity_machine(20)
+    sd = self_delimit_machine(plain)
+    psi = QString({"0" * 20: 0.6, "1": 0.8})
+    assert machine_complexity(plain, psi).value == pytest.approx(average_length(psi))
+    assert machine_complexity(sd, psi).value == pytest.approx(2 * average_length(psi) + 1)
+    with pytest.raises(AssertionError):
+        sd.programs
 
 
 def test_self_delimit_machine_program_law():

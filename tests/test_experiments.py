@@ -28,7 +28,7 @@ from qfock import (
     tensor_product,
     von_neumann_entropy,
 )
-from qfock.complexity import DescriberMachine, MachineCatalog
+from qfock.complexity import DescriberMachine, IdentityMachine, MachineCatalog
 from qfock.experiments import RANDOM_DIM_MAX, RANDOM_DIM_MIN
 
 from helpers import random_orthonormal_family
@@ -104,6 +104,23 @@ def test_incompressibility_plain_bound_for_nonprefix_catalog():
     assert rep.applicable_bound == pytest.approx(1.0)  # (3-1)/2
     assert rep.max_description_length == pytest.approx(3.0)
     assert rep.verified
+
+
+def test_incompressibility_describes_each_pair_once(monkeypatch):
+    calls = []
+    for cls in (DescriberMachine, IdentityMachine):
+        def counting(self, state, real=cls.describe):
+            calls.append((self, state))
+            return real(self, state)
+
+        monkeypatch.setattr(cls, "describe", counting)
+    specialist = DescriberMachine({"0": basis_state("01")}, prefix_flag=True)
+    cat = MachineCatalog(
+        [identity_machine(2), self_delimit_machine(identity_machine(2)), specialist]
+    )
+    states = [basis_state(format(v, "02b")) for v in range(4)]
+    incompressibility_report(states, cat)
+    assert len(calls) == len(states) * len(cat)
 
 
 def test_incompressibility_random_families():

@@ -55,6 +55,12 @@ class TestQString:
         # normalize=True rescales instead
         s = QString({"0": 0.5}, normalize=True)
         assert s.amplitude("0") == pytest.approx(1.0)
+        # a NaN or infinite norm is rejected, not rescaled
+        for amp in (math.nan, complex(0.5, math.nan), math.inf):
+            with pytest.raises(NotNormalizedError):
+                QString({"0": amp})
+            with pytest.raises(NotNormalizedError):
+                QString({"0": amp}, normalize=True)
 
     def test_duplicate_pairs_rejected(self):
         with pytest.raises(DuplicateKeyError):
@@ -220,6 +226,8 @@ def test_load_rejects_malformed(text):
 def test_load_unnormalized_raises_domain_error():
     with pytest.raises(NotNormalizedError):
         load_qstring("0 0.5 0")
+    with pytest.raises(NotNormalizedError):
+        load_qstring("0 nan 0.0\n1 0.5 0.0")
 
 
 @settings(max_examples=40)

@@ -49,6 +49,10 @@ class TestDensityOperator:
             dm([[0.5, 0.5], [0.0, 0.5]])
         with pytest.raises(ValueError):
             dm([[0.7, 0.0], [0.0, 0.7]])  # trace != 1
+        with pytest.raises(NotHermitianError):
+            dm([[math.nan, 0.0], [0.0, 0.5]])
+        with pytest.raises(NotHermitianError):
+            eig_hermitian(np.array([[math.nan, 0.0], [0.0, 0.5]]))
         with pytest.raises(ValueError):
             DensityOperator(["0", "0"], np.eye(2) / 2)  # duplicate labels
 

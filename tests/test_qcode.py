@@ -5,6 +5,7 @@ import pytest
 
 from qfock import (
     ArityMismatchError,
+    CapExceededError,
     DensityOperator,
     InvalidDeltaError,
     NotOrthogonalError,
@@ -256,6 +257,13 @@ def test_lossy_input_validation():
         lossy_typical_projection(rho, 0, 0.1)
     with pytest.raises(ValueError):
         lossy_typical_projection(rho, 65, 0.1)
+
+
+def test_lossy_rejects_sources_over_the_class_cap():
+    # d=8, n=64 has C(71, 7) = 1,329,890,705 type classes
+    rho = diag_density([0.3, 0.2, 0.1, 0.1, 0.1, 0.1, 0.05, 0.05])
+    with pytest.raises(CapExceededError, match="1329890705 type classes"):
+        lossy_typical_projection(rho, 64, 0.1)
 
 
 def test_lossy_success_is_a_probability():
