@@ -6,6 +6,12 @@ finite describer-machine stand-ins for quantum program complexity,
 together with the entropy machinery (LAPACK Hermitian eigensolver,
 partial traces, inequality checks) needed to reproduce the associated
 coding theorems numerically.
+
+Importing the package does not import numpy.  The names from ``errors``,
+``fock``, ``codes`` and ``complexity`` load eagerly; the names from
+``linalg``, ``qcode`` and ``experiments`` (densities, eigensolver,
+quantum codes, theorem reports) load with their module on first access.
+``__all__`` lists both kinds.
 """
 
 __version__ = "0.1.0"
@@ -65,35 +71,7 @@ from .codes import (
     shannon_code,
     expected_length,
     code_table_text,
-)
-from .linalg import (
-    Ensemble,
-    DensityOperator,
-    SpectralDecomposition,
-    density_from_ensemble,
-    eig_hermitian,
-    von_neumann_entropy,
     shannon_entropy,
-    entropy_of_spectrum,
-    tensor_product,
-    partial_trace,
-    subsystem_labels,
-    load_ensemble,
-    dump_ensemble,
-    read_ensemble_file,
-    write_ensemble_file,
-)
-from .qcode import (
-    CondensableCode,
-    CompressionReport,
-    LossyReport,
-    build_condensable_code,
-    encode_qstring,
-    sw_lossless_code,
-    compression_report,
-    sw_report,
-    kraft_condensable_check,
-    lossy_typical_projection,
 )
 from .complexity import (
     DescriberMachine,
@@ -115,22 +93,79 @@ from .complexity import (
     read_machine_file,
     write_machine_file,
 )
-from .experiments import (
-    StateComplexity,
-    IncompressibilityReport,
-    MultiCopyReport,
-    NonadditivityReport,
-    MemberComplexity,
-    SandwichReport,
-    InequalitySpec,
-    random_density,
-    incompressibility_report,
-    multicopy_report,
-    multicopy_kraft,
-    nonadditivity_search,
-    entropy_sandwich_report,
-    inequality_check,
-    product_state,
+# Served on first access by __getattr__ below: linalg and qcode load numpy,
+# and experiments is slow to import (its report dataclasses).
+_LAZY = {
+    name: module
+    for module, names in {
+        "linalg": (
+            "Ensemble",
+            "DensityOperator",
+            "SpectralDecomposition",
+            "density_from_ensemble",
+            "eig_hermitian",
+            "von_neumann_entropy",
+            "entropy_of_spectrum",
+            "tensor_product",
+            "partial_trace",
+            "subsystem_labels",
+            "load_ensemble",
+            "dump_ensemble",
+            "read_ensemble_file",
+            "write_ensemble_file",
+        ),
+        "qcode": (
+            "CondensableCode",
+            "CompressionReport",
+            "LossyReport",
+            "build_condensable_code",
+            "encode_qstring",
+            "sw_lossless_code",
+            "compression_report",
+            "sw_report",
+            "kraft_condensable_check",
+            "lossy_typical_projection",
+        ),
+        "experiments": (
+            "StateComplexity",
+            "IncompressibilityReport",
+            "MultiCopyReport",
+            "NonadditivityReport",
+            "MemberComplexity",
+            "SandwichReport",
+            "InequalitySpec",
+            "random_density",
+            "incompressibility_report",
+            "multicopy_report",
+            "multicopy_kraft",
+            "nonadditivity_search",
+            "entropy_sandwich_report",
+            "inequality_check",
+            "product_state",
+        ),
+    }.items()
+    for name in names
+}
+
+__all__ = sorted(
+    {name for name in dir() if not name.startswith("_")}
+    | set(_LAZY)
+    | set(_LAZY.values())
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+
+def __getattr__(name: str):
+    try:
+        module = _LAZY[name]
+    except KeyError:
+        # Unknown here, so ``from qfock import linalg`` imports the submodule.
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    from importlib import import_module
+
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

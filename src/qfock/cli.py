@@ -31,6 +31,7 @@ import json
 import os
 import sys
 from collections.abc import Sequence
+from typing import TYPE_CHECKING
 
 from . import __version__
 from .errors import FormatError, QFockError
@@ -51,23 +52,7 @@ from .codes import (
     expected_length,
     kraft_sum,
     shannon_code,
-)
-from .linalg import (
-    Ensemble,
-    density_from_ensemble,
-    dump_ensemble,
-    eig_hermitian,
-    entropy_of_spectrum,
-    read_ensemble_file,
     shannon_entropy,
-    write_ensemble_file,
-)
-from .qcode import (
-    eigen_ensemble,
-    encode_qstring,
-    lossy_typical_projection,
-    sw_lossless_code,
-    sw_report,
 )
 from .complexity import (
     Describer,
@@ -81,16 +66,13 @@ from .complexity import (
     self_delimit_machine,
     universal_complexity,
 )
-from .experiments import (
-    InequalitySpec,
-    entropy_sandwich_report,
-    incompressibility_report,
-    inequality_check,
-    multicopy_report,
-    nonadditivity_search,
-    product_state,
-    random_density,
-)
+
+if TYPE_CHECKING:
+    from .experiments import InequalitySpec
+
+# linalg and qcode load numpy, and experiments is slow to import (its report
+# dataclasses), so the handlers that need them import them there; the other
+# subcommands start without numpy.
 
 SIG_DIGITS = 9
 
@@ -132,7 +114,7 @@ def _envelope(seed: int, inputs: Sequence[str], result: dict, checks: dict) -> d
 
 
 def _emit_json(report: dict) -> str:
-    return json.dumps(report, sort_keys=True, indent=2) + "\n"
+    return json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def _emit_text(report: dict) -> str:
@@ -250,6 +232,13 @@ def _cmd_selfdelim(args):
 
 
 def _cmd_entropy(args):
+    from .linalg import (
+        density_from_ensemble,
+        eig_hermitian,
+        entropy_of_spectrum,
+        read_ensemble_file,
+    )
+
     rho = density_from_ensemble(read_ensemble_file(args.rho))
     dec = eig_hermitian(rho)
     eigs = [float(x) for x in dec.eigenvalues]
@@ -308,6 +297,9 @@ def _cmd_kraft(args):
 
 
 def _cmd_sw(args):
+    from .linalg import density_from_ensemble, read_ensemble_file
+    from .qcode import sw_report
+
     rho = density_from_ensemble(read_ensemble_file(args.rho))
     code, report = sw_report(rho)
     table = code.words.table
@@ -333,6 +325,9 @@ def _cmd_sw(args):
 
 
 def _cmd_encode(args):
+    from .linalg import density_from_ensemble, read_ensemble_file
+    from .qcode import encode_qstring, sw_lossless_code
+
     rho = density_from_ensemble(read_ensemble_file(args.rho))
     state = read_qstring_file(args.state)
     code = sw_lossless_code(rho)
@@ -352,6 +347,9 @@ def _cmd_encode(args):
 
 
 def _cmd_lossy(args):
+    from .linalg import density_from_ensemble, read_ensemble_file
+    from .qcode import lossy_typical_projection
+
     rho = density_from_ensemble(read_ensemble_file(args.rho))
     try:
         ns = [int(x) for x in str(args.n).split(",") if x.strip() != ""]
@@ -415,6 +413,8 @@ def _cmd_kq(args):
 
 
 def _cmd_incompress(args):
+    from .experiments import incompressibility_report
+
     states = [read_qstring_file(p) for p in args.state]
     cat, inputs = _build_catalog(args)
     rep = incompressibility_report(states, cat)
@@ -436,6 +436,8 @@ def _cmd_incompress(args):
 
 
 def _cmd_multicopy(args):
+    from .experiments import multicopy_report
+
     rep = multicopy_report(args.alpha2, args.n)
     rows = [
         {
@@ -459,6 +461,8 @@ def _cmd_multicopy(args):
 
 
 def _cmd_nonadd(args):
+    from .experiments import nonadditivity_search
+
     span = args.sd_identity if args.sd_identity is not None else args.mblock + 1
     cat = MachineCatalog([self_delimit_machine(identity_machine(span))])
     rep = nonadditivity_search(args.mblock, cat, args.k)
@@ -474,15 +478,21 @@ def _cmd_nonadd(args):
 
 
 def _cmd_sandwich(args):
+    from .experiments import entropy_sandwich_report
+    from .linalg import density_from_ensemble, eig_hermitian, read_ensemble_file
+    from .qcode import sw_lossless_code
+
     ens = read_ensemble_file(args.ensemble)
-    machines = [machine_from_code(sw_lossless_code(density_from_ensemble(ens)))]
+    rho = density_from_ensemble(ens)
+    dec = eig_hermitian(rho)
+    machines = [machine_from_code(sw_lossless_code(rho, dec))]
     inputs = [args.ensemble]
     for path in args.machine or []:
         machines.append(read_machine_file(path))
         inputs.append(path)
     if args.sd_identity is not None:
         machines.append(self_delimit_machine(identity_machine(args.sd_identity)))
-    rep = entropy_sandwich_report(ens, MachineCatalog(machines))
+    rep = entropy_sandwich_report(ens, MachineCatalog(machines), dec)
     return (
         {
             "entropy": rep.entropy,
@@ -497,6 +507,8 @@ def _cmd_sandwich(args):
 
 
 def _parse_ineq_spec(text: str, n_parties: int) -> InequalitySpec:
+    from .experiments import InequalitySpec
+
     terms = []
     for chunk in text.split(";"):
         chunk = chunk.strip()
@@ -518,6 +530,9 @@ def _parse_ineq_spec(text: str, n_parties: int) -> InequalitySpec:
 
 
 def _cmd_ineq(args):
+    from .experiments import inequality_check, product_state
+    from .linalg import density_from_ensemble, read_ensemble_file
+
     if args.mode == "joint":
         if args.rho is None or args.dims is None:
             raise _UsageError("joint mode needs --rho and --dims")
@@ -547,6 +562,16 @@ def _cmd_ineq(args):
 
 
 def _cmd_randrho(args, seed: int):
+    from .experiments import random_density
+    from .linalg import (
+        Ensemble,
+        dump_ensemble,
+        eig_hermitian,
+        entropy_of_spectrum,
+        write_ensemble_file,
+    )
+    from .qcode import eigen_ensemble
+
     rho = random_density(args.dim, seed)
     dec = eig_hermitian(rho)
     ens = Ensemble(eigen_ensemble(rho, dec))

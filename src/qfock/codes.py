@@ -1,4 +1,4 @@
-"""Classical prefix-free codes and Kraft arithmetic.
+"""Classical prefix-free codes, Kraft arithmetic and Shannon entropy.
 
 Kraft sums are evaluated with exact dyadic arithmetic (``fractions``),
 so feasibility checks at the ``<= 1`` boundary never wobble.  Codeword
@@ -23,8 +23,8 @@ from .fock import EPS_TOKEN, check_bitstring
 #: Probabilities below this would demand absurd codeword lengths.
 PROB_FLOOR = 1e-15
 
-#: Tolerance on the sum of a probability vector.
-DIST_TOL = 1e-9
+#: Tolerance on the sum of a probability vector (and of ensemble weights).
+PROB_TOL = 1e-9
 
 
 def ceil_neg_log2(x: float, *, snap: float = 1e-9) -> int:
@@ -149,15 +149,23 @@ def _check_distribution(p: Sequence[float], *, floor: float = 0.0) -> list[float
     if not probs:
         raise InvalidDistributionError("empty probability vector")
     for x in probs:
+        if not math.isfinite(x):
+            raise InvalidDistributionError(f"probability {x!r} is not finite")
         if x < 0.0:
             raise InvalidDistributionError(f"negative probability {x!r}")
         if floor and x < floor:
             raise InvalidDistributionError(
                 f"probability {x!r} below the supported floor {floor}"
             )
-    if abs(sum(probs) - 1.0) > DIST_TOL:
+    if abs(sum(probs) - 1.0) > PROB_TOL:
         raise InvalidDistributionError(f"probabilities sum to {sum(probs)!r}, not 1")
     return probs
+
+
+def shannon_entropy(p: Sequence[float]) -> float:
+    """H(p) in bits; zero entries contribute zero."""
+    probs = _check_distribution(p)
+    return -sum(x * math.log2(x) for x in probs if x > 0.0)
 
 
 def shannon_code(p: Sequence[float]) -> PrefixCode:

@@ -33,6 +33,7 @@ import math
 import os
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from .codes import ceil_neg_log2, check_prefix_free
 from .errors import (
@@ -56,7 +57,9 @@ from .fock import (
     parse_inline_state,
     read_qstring_file,
 )
-from .qcode import CondensableCode
+
+if TYPE_CHECKING:  # qcode loads numpy; only machine_from_code's annotation needs it
+    from .qcode import CondensableCode
 
 SPAN_TOL = 1e-8
 AMP_FLOOR = 1e-12

@@ -45,7 +45,7 @@ class InvalidDistributionError(QFockError):
 
 
 class DimensionCapExceededError(QFockError):
-    """A tensor product would exceed the supported dimension cap."""
+    """A dense operator would exceed the supported dimension cap."""
 
 
 class DimensionMismatchError(QFockError):
@@ -81,7 +81,8 @@ class NotOrthogonalError(QFockError):
 
 
 class InvalidDeltaError(QFockError):
-    """The typical-subspace slack must be positive."""
+    """A slack or threshold is out of range: the typical-subspace delta must
+    be positive and finite, the nonadditivity threshold k finite."""
 
 
 # --- describer machines ----------------------------------------------------

@@ -26,8 +26,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .codes import ceil_neg_log2, kraft_sum
 from .complexity import (
@@ -42,19 +41,16 @@ from .errors import (
     CapExceededError,
     DimOutOfRangeError,
     InvalidAmplitudeError,
+    InvalidDeltaError,
     NoDescriberError,
     NotPrefixFreeError,
 )
 from .fock import QString
-from .linalg import (
-    DensityOperator,
-    Ensemble,
-    density_from_ensemble,
-    partial_trace,
-    subsystem_labels,
-    tensor_product,
-    von_neumann_entropy,
-)
+
+# linalg loads numpy, so the functions that need it import it themselves:
+# multicopy_report and nonadditivity_search run without numpy.
+if TYPE_CHECKING:
+    from .linalg import DensityOperator, Ensemble, SpectralDecomposition
 
 RANDOM_DIM_MIN = 2
 RANDOM_DIM_MAX = 64
@@ -71,6 +67,10 @@ def random_density(dim: int, seed: int) -> DensityOperator:
     labels are fixed-width binary, so power-of-two dimensions compose
     directly with ``partial_trace``.
     """
+    import numpy as np
+
+    from .linalg import DensityOperator, subsystem_labels
+
     if not RANDOM_DIM_MIN <= dim <= RANDOM_DIM_MAX:
         raise DimOutOfRangeError(
             f"dim must be in {RANDOM_DIM_MIN}..{RANDOM_DIM_MAX}, got {dim}"
@@ -119,6 +119,8 @@ def incompressibility_report(
     against (S(rho) - 1) / 2 otherwise; the catalog values only exceed
     the bare lengths, so the flag is the stronger statement.
     """
+    from .linalg import Ensemble, density_from_ensemble, von_neumann_entropy
+
     members = list(states)
     if not members:
         raise ValueError("no states given")
@@ -243,6 +245,8 @@ def nonadditivity_search(
     """
     if m_block < 1:
         raise CapExceededError(f"m_block must be at least 1, got {m_block}")
+    if not math.isfinite(k):
+        raise InvalidDeltaError(f"threshold k must be finite, got {k!r}")
     lo = 1 << m_block
     hi = 1 << (m_block + 1)
 
@@ -302,19 +306,25 @@ class SandwichReport:
     upper_ok: bool
 
 
-def entropy_sandwich_report(e: Ensemble, cat: MachineCatalog) -> SandwichReport:
+def entropy_sandwich_report(
+    e: Ensemble, cat: MachineCatalog, dec: SpectralDecomposition | None = None
+) -> SandwichReport:
     """Wedge the expected catalog complexity of ``e`` against S(rho).
 
     Requires a prefix-flagged catalog.  The overhead ``c`` is the
     largest index cost in the catalog; whenever some machine in the
     catalog realizes a lossless code for the ensemble's density
     operator, the expectation satisfies
-    ``S(rho) <= E <= S(rho) + 1 + c``.
+    ``S(rho) <= E <= S(rho) + 1 + c``.  ``dec`` is ``eig_hermitian(rho)``
+    when the caller already has it.
     """
+    from .linalg import density_from_ensemble, eig_hermitian, entropy_of_spectrum
+
     if not cat.all_prefix():
         raise NotPrefixFreeError("sandwich bounds need a prefix-flagged catalog")
-    rho = density_from_ensemble(e)
-    entropy = von_neumann_entropy(rho)
+    if dec is None:
+        dec = eig_hermitian(density_from_ensemble(e))
+    entropy = entropy_of_spectrum(dec.eigenvalues)
     per_member = []
     expected = 0.0
     for p, state in e:
@@ -397,6 +407,8 @@ def inequality_check(
     Product mode takes one factor per party and uses additivity,
     ``S(rho^W) = sum_{i in W} S(rho_i)``; no joint operator is formed.
     """
+    from .linalg import DensityOperator, partial_trace, von_neumann_entropy
+
     if mode == "joint":
         if not isinstance(rho, DensityOperator):
             raise TypeError("joint mode expects a single DensityOperator")
@@ -424,6 +436,8 @@ def inequality_check(
 
 def product_state(factors: Sequence[DensityOperator]) -> DensityOperator:
     """Tensor together per-party factors (left to right)."""
+    from .linalg import tensor_product
+
     factors = list(factors)
     if not factors:
         raise ValueError("no factors given")

@@ -207,6 +207,17 @@ def pair_encode(x: str, y: str) -> str:
     ``x`` and ``y`` needs no marker: ``pair_encode('110', '1000')`` is
     ``'11101101000'``.
     """
+    # Hot path: one strip per argument.  Anything it does not accept
+    # (non-str, stray characters, over the cap) gets the full checks.
+    try:
+        if (
+            not x.strip("01")
+            and not y.strip("01")
+            and 2 * len(x) + 1 + len(y) <= LENGTH_CAP
+        ):
+            return "1" * len(x) + "0" + x + y
+    except (AttributeError, TypeError):
+        pass
     check_bitstring(x)
     check_bitstring(y)
     if 2 * len(x) + 1 + len(y) > LENGTH_CAP:
@@ -216,7 +227,12 @@ def pair_encode(x: str, y: str) -> str:
 
 def pair_decode(z: str) -> tuple[str, str]:
     """Invert :func:`pair_encode`, recovering ``(x, y)`` exactly."""
-    check_bitstring(z)
+    try:
+        plain = not z.strip("01") and len(z) <= LENGTH_CAP
+    except (AttributeError, TypeError):
+        plain = False
+    if not plain:
+        check_bitstring(z)
     run = z.find("0")
     if run < 0:
         raise ValueError("missing delimiter: input is all ones")

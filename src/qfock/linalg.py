@@ -8,6 +8,12 @@ entropies are in bits.
 The eigensolver is LAPACK's Hermitian ``eigh`` (through numpy), with
 the order of ties and the phase of each eigenvector fixed by this module
 rather than by the LAPACK build.
+
+This module, and ``qcode`` on top of it, load numpy on import; the
+string, code, machine and report layers import them only inside the
+functions that need matrices.  No dense operator
+above ``DIM_CAP`` dimensions is allocated: ensembles, density
+operators, tensor products and partial traces check the cap first.
 """
 
 from __future__ import annotations
@@ -19,11 +25,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .codes import PROB_TOL, shannon_entropy  # shannon_entropy is re-exported
 from .errors import (
     DimensionCapExceededError,
     DimensionMismatchError,
     FormatError,
-    InvalidDistributionError,
     NotHermitianError,
     ProbabilitiesDontSumError,
 )
@@ -38,10 +44,15 @@ from .fock import (
 
 HERM_TOL = 1e-9
 TRACE_TOL = 1e-9
-PROB_TOL = 1e-9
 EIG_CLAMP = 1e-9
 PHASE_TIE_TOL = 1e-9
 DIM_CAP = 1 << 12
+
+
+def _check_dim(dim: int, what: str) -> None:
+    """Reject a dense operator above ``DIM_CAP`` before it is allocated."""
+    if dim > DIM_CAP:
+        raise DimensionCapExceededError(f"{what} {dim} exceeds the cap {DIM_CAP}")
 
 
 class Ensemble:
@@ -87,6 +98,7 @@ class DensityOperator:
 
     def __init__(self, basis: Sequence[str], matrix) -> None:
         labels = tuple(check_bitstring(b) for b in basis)
+        _check_dim(len(labels), "dimension")
         if len(set(labels)) != len(labels):
             raise ValueError("basis labels must be distinct")
         m = np.array(matrix, dtype=complex)
@@ -166,6 +178,7 @@ def density_from_ensemble(e: Ensemble | Iterable[tuple[float, QString]]) -> Dens
     if not isinstance(e, Ensemble):
         e = Ensemble(e)
     basis = ensemble_basis(e)
+    _check_dim(len(basis), "ensemble dimension")
     m = np.zeros((len(basis), len(basis)), dtype=complex)
     for p, state in e:
         v = state_vector(state, basis)
@@ -222,26 +235,9 @@ def von_neumann_entropy(rho: DensityOperator) -> float:
     return entropy_of_spectrum(dec.eigenvalues)
 
 
-def shannon_entropy(p: Sequence[float]) -> float:
-    """H(p) in bits; zero entries contribute zero."""
-    probs = [float(x) for x in p]
-    if not probs:
-        raise InvalidDistributionError("empty probability vector")
-    for x in probs:
-        if x < 0.0:
-            raise InvalidDistributionError(f"negative probability {x!r}")
-    if abs(sum(probs) - 1.0) > PROB_TOL:
-        raise InvalidDistributionError(f"probabilities sum to {sum(probs)!r}, not 1")
-    return -sum(x * math.log2(x) for x in probs if x > 0.0)
-
-
 def tensor_product(a: DensityOperator, b: DensityOperator) -> DensityOperator:
     """Kronecker product with concatenated basis labels."""
-    dim = a.dim * b.dim
-    if dim > DIM_CAP:
-        raise DimensionCapExceededError(
-            f"product dimension {dim} exceeds the cap {DIM_CAP}"
-        )
+    _check_dim(a.dim * b.dim, "product dimension")
     basis = tuple(x + y for x in a.basis for y in b.basis)
     if len(set(basis)) != len(basis):
         raise DimensionMismatchError(
@@ -279,6 +275,7 @@ def partial_trace(
         raise DimensionMismatchError("subsystem dimensions must be at least 2")
     n = len(dims)
     full_dim = math.prod(dims)
+    _check_dim(full_dim, "joint dimension")
     kept = sorted(set(int(k) for k in keep))
     if not kept or kept[0] < 1 or kept[-1] > n:
         raise DimensionMismatchError(

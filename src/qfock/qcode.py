@@ -149,10 +149,17 @@ def _lossless_code(members: Sequence[tuple[float, QString]]) -> CondensableCode:
     return CondensableCode([state for _, state in members], canonical_prefix_code(lengths))
 
 
-def sw_lossless_code(rho: DensityOperator) -> CondensableCode:
+def sw_lossless_code(
+    rho: DensityOperator, dec: SpectralDecomposition | None = None
+) -> CondensableCode:
     """Lossless code for ``rho``: canonical codewords of length
-    ``ceil(-log2 eigenvalue)`` over its eigen-ensemble."""
-    return _lossless_code(eigen_ensemble(rho, eig_hermitian(rho)))
+    ``ceil(-log2 eigenvalue)`` over its eigen-ensemble.
+
+    ``dec`` is ``eig_hermitian(rho)`` when the caller already has it.
+    """
+    if dec is None:
+        dec = eig_hermitian(rho)
+    return _lossless_code(eigen_ensemble(rho, dec))
 
 
 @dataclass(frozen=True)
@@ -253,15 +260,18 @@ def lossy_typical_projection(
     rather than treated as an error.  Sources with more than
     ``LOSSY_CLASS_CAP`` type classes are rejected before enumeration.
     """
-    if delta <= 0.0:
-        raise InvalidDeltaError(f"delta must be positive, got {delta!r}")
+    if not 0.0 < delta < math.inf:  # also rejects NaN
+        raise InvalidDeltaError(f"delta must be positive and finite, got {delta!r}")
     n = int(n)
     if not 1 <= n <= 64:
         raise CapExceededError(f"copy count must be in 1..64, got {n}")
     dec = eig_hermitian(rho)
     lams = [float(lam) for lam in dec.eigenvalues if lam >= EIG_FLOOR]
     entropy = entropy_of_spectrum(dec.eigenvalues)
-    budget = math.ceil(n * (entropy + delta) - 1e-12)
+    budget_bits = n * (entropy + delta) - 1e-12
+    if budget_bits == math.inf:
+        raise InvalidDeltaError(f"delta {delta!r} overflows the {n}-copy budget")
+    budget = math.ceil(budget_bits)
     raw_qubits = n * math.log2(rho.dim)
     trivial = budget >= raw_qubits - 1e-12
 

@@ -326,9 +326,46 @@ def test_out_of_range_sizes_are_domain_errors(argv, workdir, capsys, monkeypatch
     assert json.loads(out)["error"]["type"] == "CapExceededError"
 
 
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (["shannon", "--p", "nan,1"], "InvalidDistributionError"),
+        (["shannon", "--p", "inf,1"], "InvalidDistributionError"),
+        (["code", "--p", "nan,1"], "InvalidDistributionError"),
+        (["lossy", "--rho", "rho09.ens", "--n", "10", "--delta", "nan"], "InvalidDeltaError"),
+        (["lossy", "--rho", "rho09.ens", "--n", "10", "--delta", "inf"], "InvalidDeltaError"),
+        (["nonadd", "--mblock", "3", "--k", "nan"], "InvalidDeltaError"),
+        (["nonadd", "--mblock", "3", "--k", "inf"], "InvalidDeltaError"),
+        (["multicopy", "--alpha2", "nan", "--n", "5"], "InvalidAmplitudeError"),
+    ],
+)
+def test_non_finite_numbers_are_domain_errors(argv, error, workdir, capsys, monkeypatch):
+    monkeypatch.chdir(workdir)
+    code, out = run(capsys, argv)
+    assert code == 1
+    assert json.loads(out)["error"]["type"] == error
+
+
+def test_emitted_reports_never_hold_nan():
+    with pytest.raises(ValueError):
+        qfock.cli._emit_json({"value": float("nan")})
+
+
+def test_partial_trace_over_the_dimension_cap_is_a_domain_error(workdir, capsys):
+    (workdir / "big.ens").write_text("1.0 { " + "1" * 22 + ":1,0 }\n")
+    code, out = run(capsys, [
+        "ineq", "--spec", "1=1", "--rho", workdir / "big.ens", "--dims", "2048,2048",
+    ])
+    assert code == 1
+    assert json.loads(out)["error"]["type"] == "DimensionCapExceededError"
+
+
 @pytest.fixture()
 def eig_calls(monkeypatch):
-    """Count eig_hermitian calls through every module that binds it."""
+    """Count eig_hermitian calls through every module that binds it.
+
+    The CLI and ``experiments`` import it from ``linalg`` at call time.
+    """
     calls = []
     real = qfock.linalg.eig_hermitian
 
@@ -336,7 +373,7 @@ def eig_calls(monkeypatch):
         calls.append(rho)
         return real(rho)
 
-    for module in (qfock.linalg, qfock.qcode, qfock.cli):
+    for module in (qfock.linalg, qfock.qcode):
         monkeypatch.setattr(module, "eig_hermitian", counting)
     return calls
 
@@ -347,6 +384,7 @@ def eig_calls(monkeypatch):
         ["sw", "--rho", "dyadic.ens"],  # through qcode.sw_report
         ["entropy", "--rho", "dyadic.ens"],
         ["randrho", "--dim", "6", "--seed", "77"],
+        ["sandwich", "--ensemble", "dyadic.ens"],  # code and entropy share one
     ],
 )
 def test_cli_decomposes_once(argv, workdir, capsys, eig_calls):

@@ -9,6 +9,7 @@ from qfock import (
     Ensemble,
     InequalitySpec,
     InvalidAmplitudeError,
+    InvalidDeltaError,
     NotPrefixFreeError,
     QString,
     basis_state,
@@ -218,6 +219,12 @@ def test_nonadditivity_rejects_bad_block():
         nonadditivity_search(0, sd_catalog(3), 1.0)
 
 
+@pytest.mark.parametrize("k", [math.nan, math.inf, -math.inf])
+def test_nonadditivity_rejects_non_finite_threshold(k):
+    with pytest.raises(InvalidDeltaError):
+        nonadditivity_search(3, sd_catalog(5), k)
+
+
 # --- entropy sandwich -----------------------------------------------------------------
 
 def dyadic_ensemble():
@@ -252,6 +259,22 @@ def test_sandwich_pure_ensemble():
     # single codeword eps: E = index cost alone
     assert rep.expected_complexity == pytest.approx(3.0)
     assert rep.lower_ok and rep.upper_ok
+
+
+def test_sandwich_reuses_a_given_decomposition():
+    from qfock import eig_hermitian, machine_from_code, sw_lossless_code
+
+    e = Ensemble([(0.7, basis_state("0")), (0.3, QString({"0": 0.6, "1": 0.8}))])
+    rho = density_from_ensemble(e)
+    dec = eig_hermitian(rho)
+    fresh = entropy_sandwich_report(
+        e, MachineCatalog([machine_from_code(sw_lossless_code(rho))])
+    )
+    shared = entropy_sandwich_report(
+        e, MachineCatalog([machine_from_code(sw_lossless_code(rho, dec))]), dec
+    )
+    assert shared == fresh
+    assert shared.entropy == pytest.approx(von_neumann_entropy(rho), abs=1e-12)
 
 
 def test_sandwich_requires_prefix_catalog():

@@ -245,6 +245,12 @@ def test_shannon_entropy_checks_distribution():
         shannon_entropy([0.5, 0.4])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_shannon_entropy_rejects_non_finite(bad):
+    with pytest.raises(InvalidDistributionError):
+        shannon_entropy([bad, 1.0])
+
+
 def test_entropy_unitary_invariance():
     rng = np.random.default_rng(11)
     g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
@@ -282,6 +288,15 @@ def test_tensor_product_dim_cap():
     assert at_cap.dim == DIM_CAP
     with pytest.raises(DimensionCapExceededError):
         tensor_product(at_cap, dm(np.eye(2) / 2))
+
+
+def test_dim_cap_checked_before_allocation():
+    over = subsystem_labels([DIM_CAP + 1])
+    state = QString({b: 1.0 for b in over}, normalize=True)
+    with pytest.raises(DimensionCapExceededError):
+        density_from_ensemble([(1.0, state)])
+    with pytest.raises(DimensionCapExceededError):
+        DensityOperator(over, np.ones((1, 1)))  # the cap is checked first
 
 
 def test_subsystem_labels_widths():

@@ -253,6 +253,9 @@ def test_lossy_input_validation():
         lossy_typical_projection(rho, 10, 0.0)
     with pytest.raises(InvalidDeltaError):
         lossy_typical_projection(rho, 10, -0.5)
+    for delta in (math.nan, math.inf, 1e308):  # 1e308: finite, but 10 copies overflow
+        with pytest.raises(InvalidDeltaError):
+            lossy_typical_projection(rho, 10, delta)
     with pytest.raises(ValueError):
         lossy_typical_projection(rho, 0, 0.1)
     with pytest.raises(ValueError):
