@@ -347,7 +347,7 @@ def _cmd_encode(args):
 
 
 def _cmd_lossy(args):
-    from .linalg import density_from_ensemble, read_ensemble_file
+    from .linalg import density_from_ensemble, eig_hermitian, read_ensemble_file
     from .qcode import lossy_typical_projection
 
     rho = density_from_ensemble(read_ensemble_file(args.rho))
@@ -357,9 +357,10 @@ def _cmd_lossy(args):
         raise _UsageError(f"bad copy-count list {args.n!r}") from exc
     if not ns:
         raise _UsageError("no copy counts given")
+    dec = eig_hermitian(rho)
     rows = []
     for n in ns:
-        rep = lossy_typical_projection(rho, n, args.delta)
+        rep = lossy_typical_projection(rho, n, args.delta, dec)
         rows.append(dataclasses.asdict(rep))
     if len(rows) == 1:
         return (rows[0], {"success_le_one": rows[0]["success"] <= 1.0}, [args.rho], rows)

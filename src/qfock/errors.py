@@ -106,7 +106,10 @@ class CapExceededError(QFockError, ValueError):
 # --- experiments -----------------------------------------------------------
 
 class InvalidAmplitudeError(QFockError):
-    """A squared amplitude parameter must lie strictly between 0 and 1."""
+    """A squared amplitude parameter must lie strictly between 0 and 1.
+
+    Its n-copy weights must also stay above floating-point underflow.
+    """
 
 
 class BlockTooLargeForCatalogError(QFockError):

@@ -188,6 +188,11 @@ def multicopy_report(alpha2: float, n: int) -> MultiCopyReport:
         raise CapExceededError(f"copy count must be in 1..{MULTICOPY_MAX_N}, got {n}")
     beta2 = 1.0 - alpha2
     raw = [alpha2**i * beta2 ** (n - i) for i in range(n + 1)]
+    if 0.0 in raw:
+        raise InvalidAmplitudeError(
+            f"squared amplitude {alpha2!r} at n={n} copies underflows a literal "
+            f"weight to 0.0"
+        )
     z_norm = float(sum(raw))
     weights = [math.comb(n, i) * raw[i] for i in range(n + 1)]
     raw_lengths = [ceil_neg_log2(p) for p in raw]

@@ -16,7 +16,8 @@ above the von Neumann entropy.
 
 ``lossy_typical_projection`` evaluates the induced fixed-budget lossy
 scheme on n copies analytically over type classes; nothing of size 2**n
-is ever materialized.
+is ever materialized.  The classes are enumerated depth first, and a
+branch is cut as soon as no class below it can fit the qubit budget.
 """
 
 from __future__ import annotations
@@ -25,7 +26,13 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from .codes import PrefixCode, canonical_prefix_code, ceil_neg_log2, kraft_sum
+from .codes import (
+    PrefixCode,
+    canonical_prefix_code,
+    ceil_bits,
+    ceil_neg_log2,
+    kraft_sum,
+)
 from .errors import (
     ArityMismatchError,
     CapExceededError,
@@ -46,9 +53,11 @@ ORTHO_TOL = 1e-8
 SPAN_TOL = 1e-8
 AMP_FLOOR = 1e-12
 EIG_FLOOR = 1e-12
-# About 4 s of enumeration at 3.5-3.7 us per class on a 2-vCPU VM.  The
-# largest configuration in the tests, demos and benchmark, (d=6, n=12),
-# needs 6,188 classes.
+# With a delta so large that nothing is pruned, enumerating the classes
+# at the cap takes 1.1-1.9 s for d <= 10 (d=8, n=20: 888,030 classes) and
+# 2.3-2.5 s at d=1447, n=2 (1,047,628 classes), 1.3-2.4 us per class on a
+# 2-vCPU VM.  The tests, demos and benchmark stay at or below (d=6, n=14),
+# 11,628 classes.
 LOSSY_CLASS_CAP = 1 << 20
 
 
@@ -234,18 +243,61 @@ class LossyReport:
     trivial: bool
 
 
-def _compositions(total: int, parts: int):
-    """All tuples of ``parts`` nonnegative ints summing to ``total``."""
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for tail in _compositions(total - head, parts - 1):
-            yield (head,) + tail
+#: A subtree is cut only when its least possible codeword length exceeds
+#: the budget by more than this many bits; see ``_type_classes``.
+PRUNE_SLACK = 1e-6
+
+
+def _type_classes(lams: Sequence[float], n: int, budget: int | None = None):
+    """Yield ``(multiplicity, log2 p, length)`` for n-copy type classes.
+
+    A type class fixes how many of the n copies take each eigenvalue of
+    the descending spectrum ``lams``; ``p`` is the probability of one
+    string in it, ``multiplicity`` the number of such strings and
+    ``length = ceil_bits(-log2 p)`` its codeword length.  Classes come
+    depth first in lexicographic order of their counts (ascending count
+    of ``lams[0]``, then of ``lams[1]``, ...), with ``log2 p`` summed
+    left to right over the nonzero counts.  Without a budget every
+    class is yielded; with one, exactly those whose length fits it.
+
+    Each copy still to place costs at least ``-log2 lams[j+1]`` bits once
+    the first j+1 counts are fixed, so a subtree whose partial length
+    plus that floor exceeds ``budget + PRUNE_SLACK`` holds no class that
+    fits.  The slack is safe: with n <= 64 copies and eigenvalues of at
+    least ``EIG_FLOOR``, every sum has at most 64 terms totalling at most
+    64 * 40 bits, so round-off moves the floor and the final sum by under
+    1e-10 bits, and a class fits only if its sum is at most
+    ``budget + 1e-9`` (the snap in ``ceil_bits``).  The floor is clamped
+    at 0; that overstates it only for an eigenvalue that rounds above 1,
+    by at most 64 * log2(that eigenvalue), far below the slack for a
+    trace-one operator.  So no class that fits is ever cut.
+    """
+    logs = [math.log2(lam) for lam in lams]
+    last = len(logs) - 1
+    floor = [max(-x, 0.0) for x in logs[1:]]
+    limit = math.inf if budget is None else budget + PRUNE_SLACK
+    stack = [(0, n, 0.0, 1)]  # (part, copies left, log2 p so far, multiplicity)
+    while stack:
+        j, rem, logp, mult = stack.pop()
+        if j == last or not rem:  # one class left: the last part takes the rest
+            if rem:
+                logp += rem * logs[j]
+            length = ceil_bits(-logp)
+            if budget is None or length <= budget:
+                yield mult, logp, length
+            continue
+        step, cut = logs[j], floor[j]
+        for k in range(rem, -1, -1):  # pushed high to low, so popped k = 0 first
+            part = logp + k * step if k else logp
+            if (rem - k) * cut - part <= limit:
+                stack.append((j + 1, rem - k, part, mult * math.comb(rem, k)))
 
 
 def lossy_typical_projection(
-    rho: DensityOperator, n: int, delta: float
+    rho: DensityOperator,
+    n: int,
+    delta: float,
+    dec: SpectralDecomposition | None = None,
 ) -> LossyReport:
     """Project the blockwise-encoded n-copy source onto ``m`` qubits.
 
@@ -253,19 +305,22 @@ def lossy_typical_projection(
     ``ceil(-log2 p(string))``; the budget is ``m = ceil(n (S + delta))``
     qubits, and the success probability is the total weight of strings
     whose codeword fits.  Counting runs over type classes, so the cost
-    grows polynomially in n.
+    grows polynomially in n; the enumeration is depth first and skips
+    every subtree whose codeword lengths already exceed the budget.
 
     A budget of at least ``n log2 dim`` qubits covers even the raw,
     uncompressed block; that case is reported as trivial with success 1
     rather than treated as an error.  Sources with more than
     ``LOSSY_CLASS_CAP`` type classes are rejected before enumeration.
+    ``dec`` is ``eig_hermitian(rho)`` when the caller already has it.
     """
     if not 0.0 < delta < math.inf:  # also rejects NaN
         raise InvalidDeltaError(f"delta must be positive and finite, got {delta!r}")
     n = int(n)
     if not 1 <= n <= 64:
         raise CapExceededError(f"copy count must be in 1..64, got {n}")
-    dec = eig_hermitian(rho)
+    if dec is None:
+        dec = eig_hermitian(rho)
     lams = [float(lam) for lam in dec.eigenvalues if lam >= EIG_FLOOR]
     entropy = entropy_of_spectrum(dec.eigenvalues)
     budget_bits = n * (entropy + delta) - 1e-12
@@ -285,20 +340,10 @@ def lossy_typical_projection(
     kept_classes = 0
     kept_dimension = 0
     success = 0.0
-    for counts in _compositions(n, d_eff):
-        logp = sum(k * math.log2(lam) for k, lam in zip(counts, lams) if k)
-        v = -logp
-        r = round(v)
-        if abs(v - r) <= 1e-9:
-            v = float(r)
-        length = max(0, math.ceil(v))
-        if length <= budget:
-            mult = math.factorial(n)
-            for k in counts:
-                mult //= math.factorial(k)
-            kept_classes += 1
-            kept_dimension += mult
-            success += mult * (2.0 ** logp)
+    for mult, logp, _ in _type_classes(lams, n, budget):
+        kept_classes += 1
+        kept_dimension += mult
+        success += mult * (2.0 ** logp)
     if trivial:
         success = 1.0
     return LossyReport(

@@ -91,6 +91,45 @@ def binomial_tail_success(p, n, budget):
     return min(total, 1.0)
 
 
+def _compositions(total, parts):
+    """All tuples of ``parts`` nonnegative ints summing to ``total``."""
+    if parts == 1:
+        yield (total,)
+        return
+    for head in range(total + 1):
+        for tail in _compositions(total - head, parts - 1):
+            yield (head,) + tail
+
+
+def lossy_by_compositions(lams, n, budget):
+    """``(kept_classes, kept_dimension, success)`` over every type class.
+
+    Visits all ``C(n+d-1, d-1)`` compositions of n in lexicographic
+    order, with no pruning, and recomputes each class's ``log2 p``, snap
+    and factorial multinomial from scratch; the arithmetic per class is
+    that of ``lossy_typical_projection``, so its pruned engine must match
+    this loop bit for bit.
+    """
+    kept_classes = 0
+    kept_dimension = 0
+    success = 0.0
+    for counts in _compositions(n, len(lams)):
+        logp = sum(k * math.log2(lam) for k, lam in zip(counts, lams) if k)
+        v = -logp
+        r = round(v)
+        if abs(v - r) <= 1e-9:
+            v = float(r)
+        length = max(0, math.ceil(v))
+        if length <= budget:
+            mult = math.factorial(n)
+            for k in counts:
+                mult //= math.factorial(k)
+            kept_classes += 1
+            kept_dimension += mult
+            success += mult * (2.0 ** logp)
+    return kept_classes, kept_dimension, success
+
+
 def jacobi_eigh(matrix, tol=1e-12, max_sweeps=50):
     """Cyclic complex Jacobi eigensolver, an oracle independent of LAPACK.
 

@@ -337,6 +337,10 @@ def test_out_of_range_sizes_are_domain_errors(argv, workdir, capsys, monkeypatch
         (["nonadd", "--mblock", "3", "--k", "nan"], "InvalidDeltaError"),
         (["nonadd", "--mblock", "3", "--k", "inf"], "InvalidDeltaError"),
         (["multicopy", "--alpha2", "nan", "--n", "5"], "InvalidAmplitudeError"),
+        # finite, but a literal n-copy weight underflows to 0.0
+        (["multicopy", "--alpha2", "1e-6", "--n", "60"], "InvalidAmplitudeError"),
+        (["multicopy", "--alpha2", "1e-300", "--n", "5"], "InvalidAmplitudeError"),
+        (["multicopy", "--alpha2", "0.9999999999999999", "--n", "60"], "InvalidAmplitudeError"),
     ],
 )
 def test_non_finite_numbers_are_domain_errors(argv, error, workdir, capsys, monkeypatch):
@@ -385,6 +389,7 @@ def eig_calls(monkeypatch):
         ["entropy", "--rho", "dyadic.ens"],
         ["randrho", "--dim", "6", "--seed", "77"],
         ["sandwich", "--ensemble", "dyadic.ens"],  # code and entropy share one
+        ["lossy", "--rho", "rho09.ens", "--n", "10,20,40,60", "--delta", "0.1"],  # one per sweep
     ],
 )
 def test_cli_decomposes_once(argv, workdir, capsys, eig_calls):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qfock import (
     ArityMismatchError,
@@ -23,7 +25,15 @@ from qfock import (
     sw_lossless_code,
     sw_report,
 )
-from helpers import binomial_tail_success, random_orthonormal_family, random_unitary
+from qfock.linalg import eig_hermitian
+from qfock.qcode import EIG_FLOOR, _type_classes
+
+from helpers import (
+    binomial_tail_success,
+    lossy_by_compositions,
+    random_orthonormal_family,
+    random_unitary,
+)
 
 RT2 = math.sqrt(2.0)
 
@@ -279,3 +289,52 @@ def test_lossy_success_is_a_probability():
         rep = lossy_typical_projection(rho, n, delta)
         assert 0.0 <= rep.success <= 1.0
         assert rep.kept_classes <= rep.total_classes == n + 1
+
+
+# --- the type-class engine against the composition oracle --------------------------
+
+@st.composite
+def spectra(draw):
+    """Descending spectra of 1..6 eigenvalues: generic, degenerate, dyadic or pure."""
+    d = draw(st.integers(1, 6))
+    kind = draw(st.sampled_from(["generic", "degenerate", "dyadic", "pure"]))
+    if kind == "pure":
+        return [1.0]
+    if kind == "dyadic":  # split a random leaf of a binary tree d-1 times
+        lams = [1.0]
+        for _ in range(d - 1):
+            half = lams.pop(draw(st.integers(0, len(lams) - 1))) / 2
+            lams += [half, half]
+        return sorted(lams, reverse=True)
+    weights = draw(st.lists(st.floats(0.01, 1.0), min_size=d, max_size=d))
+    if kind == "degenerate":
+        weights = [weights[draw(st.integers(0, (d - 1) // 2))] for _ in range(d)]
+    total = sum(weights)
+    return sorted((w / total for w in weights), reverse=True)
+
+
+@settings(max_examples=150, deadline=None)
+@given(lams=spectra(), n=st.integers(1, 14), delta=st.floats(0.01, 1.0))
+@example(lams=[1.0], n=9, delta=0.01)
+@example(lams=[0.5, 0.25, 0.25], n=14, delta=0.01)
+@example(lams=[0.25, 0.25, 0.25, 0.25], n=7, delta=0.3)
+def test_lossy_matches_the_composition_oracle_bit_for_bit(lams, n, delta):
+    rho = diag_density(lams)
+    dec = eig_hermitian(rho)
+    rep = lossy_typical_projection(rho, n, delta, dec)
+    eig = [float(lam) for lam in dec.eigenvalues if lam >= EIG_FLOOR]
+    classes, dimension, success = lossy_by_compositions(eig, n, rep.budget)
+    assert (rep.kept_classes, rep.kept_dimension) == (classes, dimension)
+    want = 1.0 if rep.trivial else min(success, 1.0)
+    assert rep.success.hex() == want.hex()
+
+
+@settings(max_examples=150, deadline=None)
+@given(lams=spectra(), n=st.integers(1, 14), budget=st.integers(0, 80))
+def test_type_classes_without_a_budget_cover_every_string(lams, n, budget):
+    d = len(lams)
+    every = list(_type_classes(lams, n))
+    assert len(every) == math.comb(n + d - 1, d - 1)
+    assert sum(mult for mult, _, _ in every) == d**n
+    fitting = [c for c in every if c[2] <= budget]
+    assert list(_type_classes(lams, n, budget)) == fitting
