@@ -13,9 +13,9 @@ Every subcommand emits a single report with the same envelope:
 Numeric fields are printed with 9 significant digits and keys are
 sorted, so a rerun with the same inputs and seed is byte-identical.
 JSON is the canonical format; ``--format csv`` is accepted only by the
-sweep-shaped subcommands (``lossy`` with several n values and
-``multicopy``), and ``--format text`` renders the same report as flat
-``key = value`` lines.
+sweep-shaped subcommands (``lossy`` and ``multicopy``), whose header is
+the key order of their table rows, and ``--format text`` renders the
+same report as flat ``key = value`` lines.
 
 Exit codes: 0 success, 1 domain error (structured error record),
 2 usage error, 3 I/O error, 4 malformed input file.
@@ -28,9 +28,8 @@ import dataclasses
 import hashlib
 import io
 import json
-import os
 import sys
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from typing import TYPE_CHECKING
 
 from . import __version__
@@ -40,6 +39,7 @@ from .fock import (
     average_length,
     base_length,
     dump_qstring,
+    format_bits,
     is_bitstring,
     pair_decode,
     pair_encode,
@@ -48,6 +48,7 @@ from .fock import (
     write_qstring_file,
 )
 from .codes import (
+    PrefixCode,
     code_table_text,
     expected_length,
     kraft_sum,
@@ -55,14 +56,15 @@ from .codes import (
     shannon_entropy,
 )
 from .complexity import (
+    ComplexityEstimate,
     Describer,
     MachineCatalog,
     fidelity_penalized_complexity,
     identity_machine,
-    load_program_table,
     machine_complexity,
     machine_from_code,
     read_machine_file,
+    read_program_table,
     self_delimit_machine,
     universal_complexity,
 )
@@ -130,7 +132,8 @@ def _emit_text(report: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _emit_csv(report: dict, rows: list[dict], columns: list[str]) -> str:
+def _emit_csv(report: dict, rows: list[dict]) -> str:
+    columns = list(rows[0])
     out = io.StringIO()
     out.write(f"# tool_version={report['tool_version']}\n")
     out.write(f"# seed={report['seed']}\n")
@@ -140,11 +143,12 @@ def _emit_csv(report: dict, rows: list[dict], columns: list[str]) -> str:
     return out.getvalue()
 
 
-def _parse_probs(text: str) -> list[float]:
+def _parse_list(text: str, conv: Callable[[str], object], what: str) -> list:
+    """The comma-separated values of an option; empty entries are skipped."""
     try:
-        return [float(x) for x in text.split(",") if x.strip() != ""]
+        return [conv(x) for x in text.split(",") if x.strip() != ""]
     except ValueError as exc:
-        raise _UsageError(f"bad probability list {text!r}: {exc}") from exc
+        raise _UsageError(f"bad {what} list {text!r}: {exc}") from exc
 
 
 def _parse_bits_arg(token: str) -> str:
@@ -155,13 +159,29 @@ def _parse_bits_arg(token: str) -> str:
     return token
 
 
-def _bits_out(bits: str) -> str:
-    return bits if bits else EPS_TOKEN
+def _code_fields(code: PrefixCode) -> dict:
+    """Codewords in index order, their lengths, and the code's table text."""
+    words = [code.table[i] for i in sorted(code.table)]
+    return {
+        "codewords": [format_bits(w) for w in words],
+        "lengths": [len(w) for w in words],
+        "table_text": code_table_text(code),
+    }
 
 
-def _build_catalog(args) -> tuple[MachineCatalog, list[str]]:
-    """Catalog from repeated --machine files, then --identity/--sd-identity."""
-    machines: list[Describer] = []
+def _decomposition(est: ComplexityEstimate) -> dict:
+    """Program tokens to weights, sorted by program."""
+    return {format_bits(p): w for p, w in sorted(est.decomposition.items())}
+
+
+def _build_catalog(
+    args, first: Sequence[Describer] = ()
+) -> tuple[MachineCatalog, list[str]]:
+    """Catalog of ``first``, the --machine files, then --identity/--sd-identity.
+
+    Also returns the machine file paths, for the report's inputs.
+    """
+    machines = list(first)
     inputs: list[str] = []
     for path in args.machine or []:
         machines.append(read_machine_file(path))
@@ -198,7 +218,7 @@ def _cmd_pair(args):
         if args.x is not None or args.y is not None:
             raise _UsageError("--decode excludes --x/--y")
         x, y = pair_decode(_parse_bits_arg(args.decode))
-        return ({"x": _bits_out(x), "y": _bits_out(y)}, {}, [], None)
+        return ({"x": format_bits(x), "y": format_bits(y)}, {}, [], None)
     if args.x is None or args.y is None:
         raise _UsageError("need both --x and --y (or --decode)")
     x = _parse_bits_arg(args.x)
@@ -255,26 +275,19 @@ def _cmd_entropy(args):
 
 
 def _cmd_shannon(args):
-    probs = _parse_probs(args.p)
+    probs = _parse_list(args.p, float, "probability")
     return ({"entropy": shannon_entropy(probs)}, {}, [], None)
 
 
 def _cmd_code(args):
-    probs = _parse_probs(args.p)
+    probs = _parse_list(args.p, float, "probability")
     code = shannon_code(probs)
     h = shannon_entropy(probs)
     e = expected_length(code, probs)
-    table = code.table
     return (
+        {**_code_fields(code), "expected_length": e, "entropy": h},
         {
-            "codewords": [_bits_out(table[i]) for i in sorted(table)],
-            "lengths": [len(table[i]) for i in sorted(table)],
-            "expected_length": e,
-            "entropy": h,
-            "table_text": code_table_text(code),
-        },
-        {
-            "kraft_feasible": kraft_sum(len(w) for w in table.values()) <= 1.0,
+            "kraft_feasible": kraft_sum(len(w) for w in code.table.values()) <= 1.0,
             "sandwich": h - 1e-9 <= e < h + 1.0,
         },
         [],
@@ -283,10 +296,7 @@ def _cmd_code(args):
 
 
 def _cmd_kraft(args):
-    try:
-        lengths = [int(x) for x in args.lengths.split(",") if x.strip() != ""]
-    except ValueError as exc:
-        raise _UsageError(f"bad length list {args.lengths!r}") from exc
+    lengths = _parse_list(args.lengths, int, "length")
     total = kraft_sum(lengths)
     return (
         {"kraft_sum": total, "count": len(lengths)},
@@ -302,17 +312,8 @@ def _cmd_sw(args):
 
     rho = density_from_ensemble(read_ensemble_file(args.rho))
     code, report = sw_report(rho)
-    table = code.words.table
     return (
-        {
-            "codewords": [_bits_out(table[i]) for i in sorted(table)],
-            "lengths": [len(table[i]) for i in sorted(table)],
-            "expected_avg_length": report.expected_avg_length,
-            "entropy": report.entropy,
-            "kraft": report.kraft,
-            "per_member": [[k, l] for k, l in report.per_member],
-            "table_text": code_table_text(code.words),
-        },
+        {**_code_fields(code.words), **dataclasses.asdict(report)},
         {
             "kraft_feasible": report.kraft <= 1.0,
             "sandwich": report.entropy - 1e-9
@@ -351,10 +352,7 @@ def _cmd_lossy(args):
     from .qcode import lossy_typical_projection
 
     rho = density_from_ensemble(read_ensemble_file(args.rho))
-    try:
-        ns = [int(x) for x in str(args.n).split(",") if x.strip() != ""]
-    except ValueError as exc:
-        raise _UsageError(f"bad copy-count list {args.n!r}") from exc
+    ns = _parse_list(args.n, int, "copy-count")
     if not ns:
         raise _UsageError("no copy counts given")
     dec = eig_hermitian(rho)
@@ -379,7 +377,7 @@ def _cmd_complexity(args):
     return (
         {
             "value": est.value,
-            "decomposition": {_bits_out(p): w for p, w in sorted(est.decomposition.items())},
+            "decomposition": _decomposition(est),
         },
         {"weights_sum_to_one": abs(sum(est.decomposition.values()) - 1.0) <= 1e-6},
         [args.machine, args.state],
@@ -395,7 +393,7 @@ def _cmd_universal(args):
         {
             "value": est.value,
             "machine_index": est.machine_index,
-            "decomposition": {_bits_out(p): w for p, w in sorted(est.decomposition.items())},
+            "decomposition": _decomposition(est),
         },
         {},
         inputs + [args.state],
@@ -404,10 +402,7 @@ def _cmd_universal(args):
 
 
 def _cmd_kq(args):
-    with open(args.programs, "r", encoding="utf-8") as fh:
-        programs, _ = load_program_table(
-            fh.read(), base_dir=os.path.dirname(args.programs) or "."
-        )
+    programs, _ = read_program_table(args.programs)
     state = read_qstring_file(args.state)
     value = fidelity_penalized_complexity(programs, state)
     return ({"value": value}, {}, [args.programs, args.state], None)
@@ -418,22 +413,9 @@ def _cmd_incompress(args):
 
     states = [read_qstring_file(p) for p in args.state]
     cat, inputs = _build_catalog(args)
-    rep = incompressibility_report(states, cat)
-    return (
-        {
-            "member_count": rep.member_count,
-            "entropy": rep.entropy,
-            "prefix_bound": rep.prefix_bound,
-            "plain_bound": rep.plain_bound,
-            "all_prefix": rep.all_prefix,
-            "applicable_bound": rep.applicable_bound,
-            "max_description_length": rep.max_description_length,
-            "per_state": [dataclasses.asdict(s) for s in rep.per_state],
-        },
-        {"bound_respected": rep.verified},
-        inputs + list(args.state),
-        None,
-    )
+    result = dataclasses.asdict(incompressibility_report(states, cat))
+    checks = {"bound_respected": result.pop("verified")}
+    return (result, checks, inputs + list(args.state), None)
 
 
 def _cmd_multicopy(args):
@@ -486,25 +468,10 @@ def _cmd_sandwich(args):
     ens = read_ensemble_file(args.ensemble)
     rho = density_from_ensemble(ens)
     dec = eig_hermitian(rho)
-    machines = [machine_from_code(sw_lossless_code(rho, dec))]
-    inputs = [args.ensemble]
-    for path in args.machine or []:
-        machines.append(read_machine_file(path))
-        inputs.append(path)
-    if args.sd_identity is not None:
-        machines.append(self_delimit_machine(identity_machine(args.sd_identity)))
-    rep = entropy_sandwich_report(ens, MachineCatalog(machines), dec)
-    return (
-        {
-            "entropy": rep.entropy,
-            "expected_complexity": rep.expected_complexity,
-            "overhead": rep.overhead,
-            "per_member": [dataclasses.asdict(m) for m in rep.per_member],
-        },
-        {"lower": rep.lower_ok, "upper": rep.upper_ok},
-        inputs,
-        None,
-    )
+    cat, inputs = _build_catalog(args, [machine_from_code(sw_lossless_code(rho, dec))])
+    result = dataclasses.asdict(entropy_sandwich_report(ens, cat, dec))
+    checks = {"lower": result.pop("lower_ok"), "upper": result.pop("upper_ok")}
+    return (result, checks, [args.ensemble] + inputs, None)
 
 
 def _parse_ineq_spec(text: str, n_parties: int) -> InequalitySpec:
@@ -537,10 +504,7 @@ def _cmd_ineq(args):
     if args.mode == "joint":
         if args.rho is None or args.dims is None:
             raise _UsageError("joint mode needs --rho and --dims")
-        try:
-            dims = [int(x) for x in args.dims.split(",")]
-        except ValueError as exc:
-            raise _UsageError(f"bad dims {args.dims!r}") from exc
+        dims = _parse_list(args.dims, int, "dimension")
         spec = _parse_ineq_spec(args.spec, len(dims))
         rho = density_from_ensemble(read_ensemble_file(args.rho))
         value = inequality_check(spec, rho, dims, mode="joint")
@@ -562,7 +526,7 @@ def _cmd_ineq(args):
     )
 
 
-def _cmd_randrho(args, seed: int):
+def _cmd_randrho(args):
     from .experiments import random_density
     from .linalg import (
         Ensemble,
@@ -573,7 +537,7 @@ def _cmd_randrho(args, seed: int):
     )
     from .qcode import eigen_ensemble
 
-    rho = random_density(args.dim, seed)
+    rho = random_density(args.dim, args.seed)
     dec = eig_hermitian(rho)
     ens = Ensemble(eigen_ensemble(rho, dec))
     if args.out_ens:
@@ -592,15 +556,6 @@ def _cmd_randrho(args, seed: int):
 
 
 # --- driver -------------------------------------------------------------------
-
-_CSV_COLUMNS = {
-    "lossy": [
-        "n", "delta", "entropy", "budget", "success",
-        "kept_classes", "total_classes", "kept_dimension", "trivial",
-    ],
-    "multicopy": ["i", "weight", "raw_length", "normalized_length"],
-}
-
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -723,18 +678,13 @@ def _write_output(text: str, out_path: str | None) -> None:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    seed = args.seed
     try:
-        handler = _HANDLERS[args.command]
-        if args.command == "randrho":
-            result, checks, inputs, rows = handler(args, seed)
-        else:
-            result, checks, inputs, rows = handler(args)
-        report = _envelope(seed, inputs, result, checks)
+        result, checks, inputs, rows = _HANDLERS[args.command](args)
+        report = _envelope(args.seed, inputs, result, checks)
         if args.format == "csv":
-            if args.command not in _CSV_COLUMNS or rows is None:
+            if rows is None:
                 raise _UsageError(f"{args.command} has no csv table")
-            text = _emit_csv(report, rows, _CSV_COLUMNS[args.command])
+            text = _emit_csv(report, rows)
         elif args.format == "text":
             text = _emit_text(report)
         else:
@@ -743,22 +693,14 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 0
     except _UsageError as exc:
         parser.exit(2, f"{parser.prog}: usage error: {exc}\n")
-    except FormatError as exc:
-        record = {
-            "tool_version": __version__,
-            "seed": seed,
-            "error": {"type": type(exc).__name__, "message": str(exc)},
-        }
-        _write_output(_emit_json(record), args.out)
-        return 4
     except QFockError as exc:
         record = {
             "tool_version": __version__,
-            "seed": seed,
+            "seed": args.seed,
             "error": {"type": type(exc).__name__, "message": str(exc)},
         }
         _write_output(_emit_json(record), args.out)
-        return 1
+        return 4 if isinstance(exc, FormatError) else 1
     except OSError as exc:
         sys.stderr.write(f"{parser.prog}: i/o error: {exc}\n")
         return 3

@@ -18,7 +18,7 @@ from .errors import (
     MissingCodewordError,
     NotPrefixFreeError,
 )
-from .fock import EPS_TOKEN, check_bitstring
+from .fock import check_bitstring, format_bits
 
 #: Probabilities below this would demand absurd codeword lengths.
 PROB_FLOOR = 1e-15
@@ -53,7 +53,7 @@ def check_prefix_free(words: Iterable[str]) -> None:
     for a, b in zip(ordered, ordered[1:]):
         if b.startswith(a):
             raise NotPrefixFreeError(
-                f"codeword {a or EPS_TOKEN!r} is a prefix of {b!r}"
+                f"codeword {format_bits(a)!r} is a prefix of {b!r}"
             )
 
 
@@ -200,7 +200,5 @@ def expected_length(code: PrefixCode, p: Sequence[float]) -> float:
 
 def code_table_text(code: PrefixCode) -> str:
     """Export as ``<index> <codeword>`` lines in ascending index order."""
-    lines = [
-        f"{i} {w or EPS_TOKEN}" for i, w in sorted(code.table.items())
-    ]
+    lines = [f"{i} {format_bits(w)}" for i, w in sorted(code.table.items())]
     return "\n".join(lines) + "\n"

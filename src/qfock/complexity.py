@@ -24,6 +24,8 @@ Machine text format: a ``prefix: true|false`` header line, then one
 ``<program> -> <state>`` line per program, where ``<state>`` is either
 a path to a ``.qstr`` file (resolved next to the machine file) or an
 inline ``{ bits:re,im ; ... }`` block.  ``eps`` names the empty string.
+Lines, program tokens and states are read with the shared text rules of
+``fock`` (``text_lines``, ``parse_bits``, ``load_state_ref``).
 """
 
 from __future__ import annotations
@@ -46,16 +48,16 @@ from .errors import (
     OutOfSpanError,
 )
 from .fock import (
-    EPS_TOKEN,
     QString,
     check_bitstring,
     delimit_bits,
+    format_bits,
     format_inline_state,
     inner_product,
-    is_bitstring,
     length_lex,
-    parse_inline_state,
-    read_qstring_file,
+    load_state_ref,
+    parse_bits,
+    text_lines,
 )
 
 if TYPE_CHECKING:  # qcode loads numpy; only machine_from_code's annotation needs it
@@ -129,20 +131,20 @@ class DescriberMachine:
             norm = inner_product(a, a).real
             if abs(norm - 1.0) > 1e-8:
                 raise NotOrthonormalError(
-                    f"output of program {prog_a or EPS_TOKEN!r} has norm {norm!r}"
+                    f"output of program {format_bits(prog_a)!r} has norm {norm!r}"
                 )
             for bits, amp in a.items():
                 if bits in simple_keys and abs(amp) > 1e-8:
                     raise NotOrthonormalError(
-                        f"output of {prog_a or EPS_TOKEN!r} overlaps a "
+                        f"output of {format_bits(prog_a)!r} overlaps a "
                         f"basis-string output on {bits!r}"
                     )
             for prog_b, b in general[i + 1 :]:
                 ov = inner_product(a, b)
                 if abs(ov) > 1e-8:
                     raise NotOrthonormalError(
-                        f"outputs of {prog_a or EPS_TOKEN!r} and "
-                        f"{prog_b or EPS_TOKEN!r} overlap by {abs(ov):.3e}"
+                        f"outputs of {format_bits(prog_a)!r} and "
+                        f"{format_bits(prog_b)!r} overlap by {abs(ov):.3e}"
                     )
 
     @property
@@ -375,10 +377,7 @@ def load_program_table(
     """Parse the machine text format into ``(programs, prefix_flag)``."""
     prefix_flag: bool | None = None
     programs: dict[str, QString] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in text_lines(text):
         if line.startswith("prefix:"):
             value = line.split(":", 1)[1].strip().lower()
             if value not in ("true", "false"):
@@ -391,22 +390,24 @@ def load_program_table(
             raise FormatError(f"line {lineno}: expected '<program> -> <state>'")
         lhs, rhs = line.split("->", 1)
         token = lhs.strip()
-        prog = "" if token == EPS_TOKEN else token
-        if not is_bitstring(prog):
-            raise FormatError(f"line {lineno}: bad program token {token!r}")
+        try:
+            prog = parse_bits(token)
+        except FormatError:
+            raise FormatError(f"line {lineno}: bad program token {token!r}") from None
         if prog in programs:
             raise FormatError(f"line {lineno}: duplicate program {token!r}")
-        rhs = rhs.strip()
-        if rhs.startswith("{"):
-            programs[prog] = parse_inline_state(rhs)
-        else:
-            path = rhs if base_dir is None else os.path.join(base_dir, rhs)
-            programs[prog] = read_qstring_file(path)
+        programs[prog] = load_state_ref(rhs.strip(), base_dir, lineno)
     if prefix_flag is None:
         raise FormatError("missing 'prefix: true|false' header")
     if not programs:
         raise FormatError("machine has no programs")
     return programs, prefix_flag
+
+
+def read_program_table(path: str) -> tuple[dict[str, QString], bool]:
+    """:func:`load_program_table` on a file, its state paths resolved next to it."""
+    with open(path, "r", encoding="utf-8") as fh:
+        return load_program_table(fh.read(), base_dir=os.path.dirname(path) or ".")
 
 
 def load_machine(text: str, *, base_dir: str | None = None) -> DescriberMachine:
@@ -415,14 +416,14 @@ def load_machine(text: str, *, base_dir: str | None = None) -> DescriberMachine:
 
 
 def read_machine_file(path: str) -> DescriberMachine:
-    with open(path, "r", encoding="utf-8") as fh:
-        return load_machine(fh.read(), base_dir=os.path.dirname(path) or ".")
+    programs, prefix_flag = read_program_table(path)
+    return DescriberMachine(programs, prefix_flag=prefix_flag)
 
 
 def dump_machine(machine: Describer) -> str:
     lines = [f"prefix: {'true' if machine.prefix_flag else 'false'}"]
     for prog, out in sorted(machine.programs.items(), key=lambda kv: length_lex(kv[0])):
-        lines.append(f"{prog or EPS_TOKEN} -> {format_inline_state(out)}")
+        lines.append(f"{format_bits(prog)} -> {format_inline_state(out)}")
     return "\n".join(lines) + "\n"
 
 

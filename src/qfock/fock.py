@@ -18,15 +18,22 @@ linearly to superpositions) and the pair encoding
 markers and composes into sequence encodings by right-nested folding.
 
 Text format (``.qstr``): one term per line, ``<bits> <re> <im>``, where
-the empty string is written as the token ``eps``.  Lines starting with
-``#`` and blank lines are ignored.  Serialization is canonical: terms
-sorted by length, then lexicographically.
+the empty string is written as the token ``eps``.  Serialization is
+canonical: terms sorted by length, then lexicographically.
+
+This module also holds the rules every text format shares, so ``.ens``
+(``linalg``) and ``.qm`` (``complexity``) files read the same way:
+:func:`text_lines` skips blank and ``#`` lines and numbers the rest,
+:func:`parse_bits` / :func:`format_bits` read and write bitstring tokens
+(``eps`` for the empty string), and :func:`load_state_ref` reads a state
+given inline or as a ``.qstr`` path next to the referencing file.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Mapping
+import os
+from collections.abc import Iterable, Iterator, Mapping
 
 from .errors import (
     DuplicateKeyError,
@@ -140,7 +147,7 @@ class QString:
 
     def __repr__(self) -> str:
         parts = ", ".join(
-            f"{b or 'eps'}: {a:.6g}"
+            f"{format_bits(b)}: {a:.6g}"
             for b, a in sorted(self._terms.items(), key=lambda kv: length_lex(kv[0]))
         )
         return f"QString({{{parts}}})"
@@ -274,11 +281,24 @@ def sequence_decode(z: str, count: int) -> list[str]:
 EPS_TOKEN = "eps"
 
 
-def _format_bits(bits: str) -> str:
+def text_lines(text: str) -> Iterator[tuple[int, str]]:
+    """``(lineno, line)`` for every line that is not blank or a ``#`` comment.
+
+    Lines are numbered from 1 and stripped of surrounding whitespace.
+    """
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            yield lineno, line
+
+
+def format_bits(bits: str) -> str:
+    """The text token for a bitstring: ``eps`` for the empty string."""
     return bits if bits else EPS_TOKEN
 
 
-def _parse_bits(token: str) -> str:
+def parse_bits(token: str) -> str:
+    """The bitstring a text token names; the empty string must be ``eps``."""
     if token == EPS_TOKEN:
         return ""
     if not token or not is_bitstring(token):
@@ -289,7 +309,7 @@ def _parse_bits(token: str) -> str:
 def dump_qstring(state: QString) -> str:
     """Serialize to the canonical ``.qstr`` text form."""
     lines = [
-        f"{_format_bits(b)} {a.real!r} {a.imag!r}"
+        f"{format_bits(b)} {a.real!r} {a.imag!r}"
         for b, a in sorted(state.items(), key=lambda kv: length_lex(kv[0]))
     ]
     return "\n".join(lines) + "\n"
@@ -298,17 +318,16 @@ def dump_qstring(state: QString) -> str:
 def load_qstring(text: str, *, normalize: bool = False) -> QString:
     """Parse the ``.qstr`` text form produced by :func:`dump_qstring`."""
     pairs: list[tuple[str, complex]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in text_lines(text):
         fields = line.split()
         if len(fields) != 3:
             raise FormatError(f"line {lineno}: expected '<bits> <re> <im>'")
-        bits = _parse_bits(fields[0])
         try:
+            bits = parse_bits(fields[0])
             re_part = float(fields[1])
             im_part = float(fields[2])
+        except FormatError as exc:
+            raise FormatError(f"line {lineno}: {exc}") from exc
         except ValueError as exc:
             raise FormatError(f"line {lineno}: bad amplitude: {exc}") from exc
         pairs.append((bits, complex(re_part, im_part)))
@@ -334,7 +353,7 @@ def parse_inline_state(body: str) -> QString:
         if ":" not in chunk:
             raise FormatError(f"bad inline term {chunk!r}")
         token, amp = chunk.split(":", 1)
-        bits = _parse_bits(token.strip())
+        bits = parse_bits(token.strip())
         parts = amp.split(",")
         if len(parts) != 2:
             raise FormatError(f"amplitude must be 're,im': {amp!r}")
@@ -353,7 +372,7 @@ def parse_inline_state(body: str) -> QString:
 def format_inline_state(state: QString) -> str:
     """Serialize to the canonical inline form ``{ bits:re,im ; ... }``."""
     parts = " ; ".join(
-        f"{_format_bits(b)}:{a.real!r},{a.imag!r}"
+        f"{format_bits(b)}:{a.real!r},{a.imag!r}"
         for b, a in sorted(state.items(), key=lambda kv: length_lex(kv[0]))
     )
     return "{ " + parts + " }"
@@ -362,6 +381,24 @@ def format_inline_state(state: QString) -> str:
 def read_qstring_file(path: str, *, normalize: bool = False) -> QString:
     with open(path, "r", encoding="utf-8") as fh:
         return load_qstring(fh.read(), normalize=normalize)
+
+
+def load_state_ref(ref: str, base_dir: str | None, lineno: int) -> QString:
+    """The state on line ``lineno`` of an ensemble or machine file.
+
+    ``ref`` is an inline ``{ ... }`` block or a ``.qstr`` path, resolved
+    against ``base_dir`` (the referencing file's directory) when given.
+    Format errors name the line and, for a path, the referenced file.
+    """
+    where = f"line {lineno}"
+    try:
+        if ref.startswith("{"):
+            return parse_inline_state(ref)
+        path = ref if base_dir is None else os.path.join(base_dir, ref)
+        where += f": {path}"
+        return read_qstring_file(path)
+    except FormatError as exc:
+        raise FormatError(f"{where}: {exc}") from exc
 
 
 def write_qstring_file(path: str, state: QString) -> None:

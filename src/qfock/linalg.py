@@ -14,6 +14,10 @@ string, code, machine and report layers import them only inside the
 functions that need matrices.  No dense operator
 above ``DIM_CAP`` dimensions is allocated: ensembles, density
 operators, tensor products and partial traces check the cap first.
+
+The ``.ens`` reader (:func:`load_ensemble`) reads its lines and states
+with the shared text rules of ``fock`` (``text_lines``,
+``load_state_ref``).
 """
 
 from __future__ import annotations
@@ -38,8 +42,8 @@ from .fock import (
     check_bitstring,
     format_inline_state,
     length_lex,
-    parse_inline_state,
-    read_qstring_file,
+    load_state_ref,
+    text_lines,
 )
 
 HERM_TOL = 1e-9
@@ -325,16 +329,13 @@ def partial_trace(
 
 # --- ensemble text format ----------------------------------------------------
 #
-# One entry per line: a probability followed by either a path to a .qstr
-# file (resolved relative to the ensemble file) or an inline state block
-# { bits:re,im ; ... }.  Comments (#) and blank lines are skipped.
+# One entry per line: a probability followed by a state, either an inline
+# { bits:re,im ; ... } block or a .qstr path resolved next to the ensemble
+# file.
 
 def load_ensemble(text: str, *, base_dir: str | None = None) -> Ensemble:
     entries: list[tuple[float, QString]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in text_lines(text):
         fields = line.split(None, 1)
         if len(fields) != 2:
             raise FormatError(f"line {lineno}: expected '<p> <state>'")
@@ -342,13 +343,7 @@ def load_ensemble(text: str, *, base_dir: str | None = None) -> Ensemble:
             p = float(fields[0])
         except ValueError as exc:
             raise FormatError(f"line {lineno}: bad probability: {exc}") from exc
-        rhs = fields[1].strip()
-        if rhs.startswith("{"):
-            state = parse_inline_state(rhs)
-        else:
-            path = rhs if base_dir is None else os.path.join(base_dir, rhs)
-            state = read_qstring_file(path)
-        entries.append((p, state))
+        entries.append((p, load_state_ref(fields[1], base_dir, lineno)))
     if not entries:
         raise FormatError("ensemble has no entries")
     return Ensemble(entries)

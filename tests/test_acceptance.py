@@ -10,6 +10,7 @@ import itertools
 import math
 
 import numpy as np
+import pytest
 
 from qfock import (
     DensityOperator,
@@ -67,12 +68,13 @@ def diag_density(probs):
     return DensityOperator(labels, np.diag(probs).astype(complex))
 
 
+@pytest.mark.slow
 def test_criterion_1_pair_encoding():
     """Golden pair example plus the exhaustive roundtrip (lengths <= 12).
 
     The full loop covers (2^13 - 1)^2 = 67,092,481 pairs and runs for
-    roughly two minutes; it is the suite's one long test.  Deselect it
-    for a fast pass.
+    roughly two minutes; it is the suite's one long test, marked
+    ``slow``.  Deselect it with ``-m "not slow"`` for a fast pass.
     """
     golden_ok = pair_encode("110", "1000") == "11101101000"
     strings = all_bitstrings_upto(12)

@@ -100,6 +100,11 @@ def test_kraft(workdir, capsys):
 
 def test_sw(workdir, capsys):
     rep = run_json(capsys, ["sw", "--rho", workdir / "dyadic.ens"])
+    assert set(rep["result"]) == {
+        "codewords", "lengths", "table_text",
+        "expected_avg_length", "entropy", "kraft", "per_member",
+    }
+    assert set(rep["checks"]) == {"kraft_feasible", "sandwich"}
     assert rep["result"]["codewords"] == ["0", "10", "11"]
     assert rep["result"]["expected_avg_length"] == 1.5
     assert rep["checks"]["sandwich"] is True
@@ -138,7 +143,10 @@ def test_lossy_csv(workdir, capsys):
     assert code == 0
     lines = out.strip().splitlines()
     assert lines[0] == "# tool_version=0.1.0"
-    assert lines[2].startswith("n,delta,entropy,budget,success")
+    assert lines[2] == (
+        "n,delta,entropy,budget,success,"
+        "kept_classes,total_classes,kept_dimension,trivial"
+    )
     assert len(lines) == 7
 
 
@@ -188,6 +196,11 @@ def test_incompress(workdir, capsys):
             "--sd-identity", "2",
         ],
     )
+    assert set(rep["result"]) == {
+        "member_count", "entropy", "prefix_bound", "plain_bound", "all_prefix",
+        "applicable_bound", "max_description_length", "per_state",
+    }
+    assert set(rep["checks"]) == {"bound_respected"}
     assert rep["checks"]["bound_respected"] is True
     assert rep["result"]["member_count"] == 2
 
@@ -212,6 +225,10 @@ def test_nonadd(workdir, capsys):
 
 def test_sandwich(workdir, capsys):
     rep = run_json(capsys, ["sandwich", "--ensemble", workdir / "dyadic.ens"])
+    assert set(rep["result"]) == {
+        "entropy", "expected_complexity", "overhead", "per_member",
+    }
+    assert set(rep["checks"]) == {"lower", "upper"}
     assert rep["result"]["entropy"] == 1.5
     assert rep["result"]["expected_complexity"] == 4.5
     assert rep["checks"]["lower"] is True and rep["checks"]["upper"] is True
@@ -463,6 +480,32 @@ def test_exit_4_malformed_input(workdir, capsys):
     code, out = run(capsys, ["avglen", "--state", workdir / "bad.qstr"])
     assert code == 4
     assert json.loads(out)["error"]["type"] == "FormatError"
+
+
+@pytest.mark.parametrize(
+    "command, name, text, message",
+    [
+        ("entropy", "r.ens", "# refs\n0.5 bad.qstr\n0.5 { 1:1,0 }\n",
+         "line 2: {dir}/bad.qstr: line 1: bad bitstring token 'zz'"),
+        ("entropy", "r.ens", "1.0 { :1,0 }\n", "line 1: bad bitstring token ''"),
+        ("complexity", "r.qm", "prefix: true\n\n0 -> bad.qstr\n",
+         "line 3: {dir}/bad.qstr: line 1: bad bitstring token 'zz'"),
+        ("complexity", "r.qm", "prefix: false\n -> { 0:1,0 }\n",
+         "line 2: bad program token ''"),
+    ],
+    ids=["ens-path", "ens-inline", "qm-path", "qm-empty-program"],
+)
+def test_format_errors_name_the_file_and_line(
+    command, name, text, message, workdir, capsys
+):
+    (workdir / "bad.qstr").write_text("zz 1 0\n")
+    (workdir / name).write_text(text)
+    flag = "--rho" if command == "entropy" else "--machine"
+    extra = [] if command == "entropy" else ["--state", workdir / "s.qstr"]
+    code, out = run(capsys, [command, flag, workdir / name, *extra])
+    assert code == 4
+    error = json.loads(out)["error"]
+    assert error == {"type": "FormatError", "message": message.format(dir=workdir)}
 
 
 def test_help_for_every_subcommand(capsys):

@@ -36,7 +36,12 @@ from qfock import (
     universal_complexity,
     write_machine_file,
 )
-from qfock.complexity import DescriberMachine, IdentityMachine, MachineCatalog
+from qfock.complexity import (
+    DescriberMachine,
+    IdentityMachine,
+    MachineCatalog,
+    load_program_table,
+)
 
 from helpers import identity_table, random_qstring
 
@@ -324,6 +329,13 @@ def test_load_machine_bad_arrow():
         load_machine("prefix: true\n0 = { 0:1,0 }\n")
 
 
+@pytest.mark.parametrize("token", ["", "-", "0b1", "EPS"])
+def test_program_tokens_follow_the_qstr_rule(token):
+    with pytest.raises(FormatError) as exc:
+        load_program_table(f"prefix: false\n{token} -> {{ 0:1,0 }}\n")
+    assert str(exc.value) == f"line 2: bad program token {token!r}"
+
+
 def test_machine_file_roundtrip(tmp_path):
     m = self_delimit_machine(identity_machine(2))
     path = tmp_path / "m.qm"
@@ -347,3 +359,4 @@ def test_machine_file_with_state_paths(tmp_path):
 def test_dump_machine_eps_program():
     m = DescriberMachine({"": basis_state("0")}, prefix_flag=True)
     assert "eps ->" in dump_machine(m)
+    assert load_machine(dump_machine(m)).programs == m.programs

@@ -223,6 +223,20 @@ def test_load_rejects_malformed(text):
         load_qstring(text)
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("zz 1 0", "line 1: bad bitstring token 'zz'"),
+        ("# c\n\n0 0.6 0\n- 0.8 0", "line 4: bad bitstring token '-'"),
+        ("0 a 0", "line 1: bad amplitude: could not convert string to float: 'a'"),
+    ],
+)
+def test_load_errors_name_the_line(text, message):
+    with pytest.raises(FormatError) as exc:
+        load_qstring(text)
+    assert str(exc.value) == message
+
+
 def test_load_unnormalized_raises_domain_error():
     with pytest.raises(NotNormalizedError):
         load_qstring("0 0.5 0")
