@@ -154,7 +154,7 @@ def _parse_list(text: str, conv: Callable[[str], object], what: str) -> list:
 def _parse_bits_arg(token: str) -> str:
     if token == EPS_TOKEN:
         return ""
-    if not is_bitstring(token):
+    if not token or not is_bitstring(token):
         raise _UsageError(f"bad bitstring argument {token!r} (use '{EPS_TOKEN}' for empty)")
     return token
 
@@ -297,6 +297,10 @@ def _cmd_code(args):
 
 def _cmd_kraft(args):
     lengths = _parse_list(args.lengths, int, "length")
+    if not lengths:
+        raise _UsageError("no lengths given")
+    if min(lengths) < 0:
+        raise _UsageError(f"negative length in {args.lengths!r}")
     total = kraft_sum(lengths)
     return (
         {"kraft_sum": total, "count": len(lengths)},

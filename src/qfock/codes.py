@@ -1,10 +1,10 @@
 """Classical prefix-free codes, Kraft arithmetic and Shannon entropy.
 
-Kraft sums are evaluated with exact dyadic arithmetic (``fractions``),
-so feasibility checks at the ``<= 1`` boundary never wobble.  Codeword
-assignment is canonical: symbols are processed shortest length first
-(ties broken by source index) and each receives the lexicographically
-smallest codeword that keeps the table prefix-free.
+Kraft sums are evaluated exactly, as one integer numerator over a power
+of two, so feasibility checks at the ``<= 1`` boundary never wobble.
+Codeword assignment is canonical: symbols are processed shortest length
+first (ties broken by source index) and each receives the
+lexicographically smallest codeword that keeps the table prefix-free.
 """
 
 from __future__ import annotations
@@ -15,10 +15,11 @@ from fractions import Fraction
 
 from .errors import (
     InvalidDistributionError,
+    LengthCapExceededError,
     MissingCodewordError,
     NotPrefixFreeError,
 )
-from .fock import check_bitstring, format_bits
+from .fock import LENGTH_CAP, check_bitstring, format_bits
 
 #: Probabilities below this would demand absurd codeword lengths.
 PROB_FLOOR = 1e-15
@@ -106,18 +107,34 @@ class PrefixCode:
         return f"PrefixCode({self._table!r})"
 
 
+def _checked_length(l) -> int:
+    """A codeword length as an int: nonnegative and at most ``LENGTH_CAP``."""
+    l = int(l)
+    if l < 0:
+        raise ValueError("codeword lengths must be nonnegative")
+    if l > LENGTH_CAP:
+        raise LengthCapExceededError(
+            f"codeword length {l} exceeds cap {LENGTH_CAP}"
+        )
+    return l
+
+
 def kraft_sum_exact(lengths) -> Fraction:
-    total = Fraction(0)
-    count = 0
-    for l in lengths:
-        l = int(l)
-        if l < 0:
-            raise ValueError("codeword lengths must be nonnegative")
-        total += Fraction(1, 1 << l)
-        count += 1
-    if count == 0:
+    """Sum of 2**-l over the given codeword lengths, as an exact fraction.
+
+    With ``L = max(lengths)`` the sum is ``(sum of 2**(L - l)) / 2**L``:
+    one integer numerator over one power of two, which ``Fraction``
+    reduces to lowest terms.  Each length is checked in input order
+    before any shift; a negative one raises ``ValueError``, and one
+    above ``LENGTH_CAP`` (no codeword can be longer) raises
+    :class:`LengthCapExceededError`.  An empty input raises
+    ``ValueError``.
+    """
+    checked = [_checked_length(l) for l in lengths]
+    if not checked:
         raise ValueError("no lengths given")
-    return total
+    top = max(checked)
+    return Fraction(sum(1 << (top - l) for l in checked), 1 << top)
 
 
 def kraft_sum(lengths) -> float:
@@ -135,9 +152,7 @@ def canonical_prefix_code(lengths: Sequence[int]) -> PrefixCode:
     value = 0
     prev_len: int | None = None
     for i in order:
-        l = int(lengths[i])
-        if l < 0:
-            raise ValueError("codeword lengths must be nonnegative")
+        l = _checked_length(lengths[i])
         if prev_len is not None and l > prev_len:
             value <<= l - prev_len
         if value >= (1 << l):

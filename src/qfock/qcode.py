@@ -14,6 +14,12 @@ lengths ``ceil(-log2 eigenvalue)`` over the operator's eigenbasis, so
 the expected encoded length of the eigen-ensemble lands within one bit
 above the von Neumann entropy.
 
+Orthonormality of a code's source basis, and orthogonality of a family
+given to ``kraft_condensable_check``, are read off the states' Gram
+matrix, built as one matrix product over the union of their labels.
+Its upper triangle is searched row by row, diagonal first, so a failure
+names the member or pair that a pairwise loop would have met first.
+
 ``lossy_typical_projection`` evaluates the induced fixed-budget lossy
 scheme on n copies analytically over type classes; nothing of size 2**n
 is ever materialized.  The classes are enumerated depth first, and a
@@ -25,6 +31,8 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
+
+import numpy as np
 
 from .codes import (
     PrefixCode,
@@ -61,17 +69,60 @@ EIG_FLOOR = 1e-12
 LOSSY_CLASS_CAP = 1 << 20
 
 
+def _gram(states: Sequence[QString]) -> np.ndarray:
+    """The Gram matrix ``G[i, j] = <states[i]|states[j]>`` as one product.
+
+    Row k of ``m`` holds state k's amplitudes over the union of all the
+    states' labels, so ``G = conj(m) @ m.T`` (that is, ``M^H M`` for the
+    column matrix ``M = m.T``).
+    """
+    index: dict[str, int] = {}
+    for state in states:
+        for bits in state.keys():
+            index.setdefault(bits, len(index))
+    rows = []
+    for state in states:
+        row = [0j] * len(index)
+        for bits, amp in state.items():
+            row[index[bits]] = amp
+        rows.append(row)
+    m = np.array(rows, dtype=complex)
+    return m.conj() @ m.T
+
+
+def _gram_failure(
+    states: Sequence[QString], tol: float, *, norms: bool
+) -> tuple[int, int, float] | None:
+    """The first Gram entry of ``states`` that is off by more than ``tol``.
+
+    Entries are taken as a pairwise loop meets them: row by row over the
+    upper triangle, each row's diagonal first.  A diagonal entry (checked
+    only with ``norms``) fails when its real part, the squared norm, is
+    more than ``tol`` from 1, an off-diagonal one when its magnitude, the
+    overlap, exceeds ``tol``.  Returns ``(i, j, squared norm or overlap)``,
+    or None when every entry passes.
+    """
+    g = _gram(states)
+    dev = np.abs(g)
+    dev.flat[:: len(g) + 1] = np.abs(g.real.diagonal() - 1.0) if norms else 0.0
+    bad = dev > tol
+    if not bad.any():
+        return None
+    # Only now pay for the ordered search.  |G[j, i]| equals |G[i, j]| up
+    # to round-off, so a pair fails if either entry does.
+    bad = np.triu(bad | bad.T)
+    i, j = divmod(int(bad.argmax()), len(g))
+    return i, j, float(g.real[i, i] if i == j else dev[i, j])
+
+
 def _check_orthonormal(states: Sequence[QString], tol: float = ORTHO_TOL) -> None:
-    for i, a in enumerate(states):
-        norm = inner_product(a, a).real
-        if abs(norm - 1.0) > tol:
-            raise NotOrthonormalError(f"member {i} has squared norm {norm!r}")
-        for j in range(i + 1, len(states)):
-            ov = inner_product(a, states[j])
-            if abs(ov) > tol:
-                raise NotOrthonormalError(
-                    f"members {i} and {j} overlap by {abs(ov):.3e}"
-                )
+    failure = _gram_failure(states, tol, norms=True)
+    if failure is None:
+        return
+    i, j, value = failure
+    if i == j:
+        raise NotOrthonormalError(f"member {i} has squared norm {value!r}")
+    raise NotOrthonormalError(f"members {i} and {j} overlap by {value:.3e}")
 
 
 class CondensableCode:
@@ -137,17 +188,19 @@ def eigen_ensemble(
     Smaller eigenvalues are dropped together with their eigenvectors;
     they carry no weight at working precision.
     """
+    vecs = dec.eigenvectors
+    columns = vecs.T.tolist()
+    keep = (np.abs(vecs) > AMP_FLOOR).T.tolist()
     members = []
-    for k, lam in enumerate(dec.eigenvalues):
+    for k, lam in enumerate(dec.eigenvalues.tolist()):
         if lam < EIG_FLOOR:
             continue
-        vec = dec.eigenvectors[:, k]
         terms = {
-            rho.basis[i]: complex(vec[i])
-            for i in range(rho.dim)
-            if abs(vec[i]) > AMP_FLOOR
+            label: amp
+            for label, amp, kept in zip(rho.basis, columns[k], keep[k])
+            if kept
         }
-        members.append((float(lam), QString(terms, normalize=True)))
+        members.append((lam, QString(terms, normalize=True)))
     return members
 
 
@@ -218,13 +271,10 @@ def kraft_condensable_check(states: Sequence[QString]) -> float:
     states = list(states)
     if not states:
         raise ValueError("no states given")
-    for i, a in enumerate(states):
-        for j in range(i + 1, len(states)):
-            ov = inner_product(a, states[j])
-            if abs(ov) > ORTHO_TOL:
-                raise NotOrthogonalError(
-                    f"states {i} and {j} overlap by {abs(ov):.3e}"
-                )
+    failure = _gram_failure(states, ORTHO_TOL, norms=False)
+    if failure is not None:
+        i, j, overlap = failure
+        raise NotOrthogonalError(f"states {i} and {j} overlap by {overlap:.3e}")
     return float(sum(2.0 ** -average_length(s) for s in states))
 
 

@@ -1,10 +1,11 @@
 """Shared generators and independent oracles for the test suite."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
-from qfock import QString, delimit_bits, make_qstring
+from qfock import QString, delimit_bits, inner_product, make_qstring
 from qfock.complexity import DescriberMachine
 
 
@@ -70,6 +71,47 @@ def prefix_free(words):
             if a != b and b.startswith(a):
                 return False
     return True
+
+
+def kraft_by_fractions(lengths):
+    """Kraft sum adding one ``Fraction(1, 2**l)`` per length.
+
+    The per-term loop ``codes.kraft_sum_exact`` replaced by its closed
+    form; same validation order (``int``, then sign) and the same errors
+    for a negative length or an empty input.
+    """
+    total = Fraction(0)
+    count = 0
+    for l in lengths:
+        l = int(l)
+        if l < 0:
+            raise ValueError("codeword lengths must be nonnegative")
+        total += Fraction(1, 1 << l)
+        count += 1
+    if count == 0:
+        raise ValueError("no lengths given")
+    return total
+
+
+def pairwise_gram_failure(states, tol=1e-8, *, norms=True):
+    """First failure of a pairwise ``inner_product`` check, or None.
+
+    The loop ``qcode`` ran before its Gram matrix: for each member i in
+    order, its squared norm (with ``norms``), then its overlap with every
+    later member.  The message is the one ``CondensableCode`` raises with
+    ``norms`` and the one ``kraft_condensable_check`` raises without.
+    """
+    for i, a in enumerate(states):
+        if norms:
+            norm = inner_product(a, a).real
+            if abs(norm - 1.0) > tol:
+                return f"member {i} has squared norm {norm!r}"
+        for j in range(i + 1, len(states)):
+            ov = abs(inner_product(a, states[j]))
+            if ov > tol:
+                word = "members" if norms else "states"
+                return f"{word} {i} and {j} overlap by {ov:.3e}"
+    return None
 
 
 def binomial_tail_success(p, n, budget):

@@ -59,6 +59,21 @@ def test_pair_encode_and_decode(workdir, capsys):
     assert rep["result"]["encoded"] == "0"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["--x", "", "--y", "1"], ["--x", "1", "--y", ""], ["--decode", ""]],
+    ids=["x", "y", "decode"],
+)
+def test_pair_rejects_empty_bitstring_argument(argv, capsys):
+    # the empty string is written 'eps' on the command line, as in files
+    with pytest.raises(SystemExit) as exc:
+        main(["pair", *argv])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == (
+        "qfock: usage error: bad bitstring argument '' (use 'eps' for empty)\n"
+    )
+
+
 def test_selfdelim_writes_state(workdir, capsys):
     out_state = workdir / "sd.qstr"
     rep = run_json(
@@ -96,6 +111,36 @@ def test_kraft(workdir, capsys):
     rep = run_json(capsys, ["kraft", "--lengths", "2,2,2,2,2"])
     assert rep["result"]["kraft_sum"] == 1.25
     assert rep["checks"]["feasible"] is False
+
+
+@pytest.mark.parametrize(
+    "lengths, reason",
+    [
+        ("", "no lengths given"),
+        (",", "no lengths given"),
+        ("-1", "negative length in '-1'"),
+        ("3,-2,1", "negative length in '3,-2,1'"),
+    ],
+    ids=["empty", "comma", "negative", "negative-inside"],
+)
+def test_kraft_bad_lengths_are_usage_errors(lengths, reason, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["kraft", f"--lengths={lengths}"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"qfock: usage error: {reason}\n"
+
+
+def test_kraft_length_over_the_cap_is_a_domain_error(capsys):
+    from qfock.fock import LENGTH_CAP
+
+    code, out = run(capsys, ["kraft", "--lengths", f"1,{LENGTH_CAP + 1}"])
+    assert code == 1
+    assert json.loads(out)["error"] == {
+        "type": "LengthCapExceededError",
+        "message": f"codeword length {LENGTH_CAP + 1} exceeds cap {LENGTH_CAP}",
+    }
 
 
 def test_sw(workdir, capsys):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from qfock import (
     InvalidDistributionError,
+    LengthCapExceededError,
     MissingCodewordError,
     NotPrefixFreeError,
     PrefixCode,
@@ -19,6 +20,9 @@ from qfock import (
     shannon_code,
     shannon_entropy,
 )
+from qfock.fock import LENGTH_CAP
+
+from helpers import kraft_by_fractions
 
 
 def test_ceil_neg_log2_exact_powers():
@@ -76,6 +80,53 @@ def test_kraft_sum_exact_is_rational():
 def test_kraft_sum_float_matches_exact():
     lengths = [3, 1, 4, 1, 5]
     assert kraft_sum(lengths) == pytest.approx(float(kraft_sum_exact(lengths)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, 80), min_size=1, max_size=70))
+def test_kraft_sum_exact_matches_per_term_fractions(lengths):
+    want = kraft_by_fractions(lengths)
+    assert kraft_sum_exact(lengths) == want
+    assert kraft_sum_exact(l for l in lengths) == want
+    assert kraft_sum_exact(tuple(lengths)) == want
+
+
+def _kraft_outcome(kraft, lengths):
+    try:
+        return kraft(iter(lengths))
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.one_of(
+            st.integers(0, 80),
+            st.integers(-5, -1),
+            st.sampled_from(["7", " 2 ", "x", "-3", 3.9, -0.5, True]),
+        ),
+        max_size=12,
+    )
+)
+def test_kraft_sum_exact_rejects_as_the_per_term_loop(lengths):
+    # same value, or the same error class and message for the same
+    # first bad entry (int() failures, negatives, the empty input)
+    got = _kraft_outcome(kraft_sum_exact, lengths)
+    assert got == _kraft_outcome(kraft_by_fractions, lengths)
+
+
+def test_kraft_sum_exact_length_cap():
+    assert kraft_sum_exact([LENGTH_CAP]) == Fraction(1, 1 << LENGTH_CAP)
+    with pytest.raises(LengthCapExceededError, match="exceeds cap"):
+        kraft_sum_exact([1, LENGTH_CAP + 1])
+    # lengths are checked in input order
+    with pytest.raises(LengthCapExceededError):
+        kraft_sum_exact([LENGTH_CAP + 1, -1])
+    with pytest.raises(ValueError, match="nonnegative"):
+        kraft_sum_exact([-1, LENGTH_CAP + 1])
+    with pytest.raises(LengthCapExceededError):
+        canonical_prefix_code([1, LENGTH_CAP + 1])
 
 
 def test_canonical_assignment_dyadic():

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import qfock.fock
+import qfock.qcode
 from qfock import (
     ArityMismatchError,
     CapExceededError,
@@ -18,10 +20,12 @@ from qfock import (
     average_length,
     basis_state,
     build_condensable_code,
+    canonical_prefix_code,
     encode_qstring,
     inner_product,
     kraft_condensable_check,
     lossy_typical_projection,
+    random_density,
     sw_lossless_code,
     sw_report,
 )
@@ -31,6 +35,7 @@ from qfock.qcode import EIG_FLOOR, _type_classes
 from helpers import (
     binomial_tail_success,
     lossy_by_compositions,
+    pairwise_gram_failure,
     random_orthonormal_family,
     random_unitary,
 )
@@ -180,6 +185,107 @@ def test_condensable_kraft_rotated_complete_sets():
 def test_condensable_kraft_identity_rotation_is_tight():
     words = [basis_state("0"), basis_state("10"), basis_state("11")]
     assert kraft_condensable_check(words) == pytest.approx(1.0)
+
+
+# --- Gram-matrix checks against the pairwise loop ----------------------------------
+
+LABEL_POOL = ["", "0", "1", "00", "01", "10", "11", "010", "111", "0110"]
+
+
+def _unnormalized(terms):
+    """A QString holding ``terms`` as given, past the constructor's norm check."""
+    state = QString.__new__(QString)
+    state._terms = dict(terms)
+    return state
+
+
+def _culprit(message):
+    """A failure message without its number: which member or pair failed."""
+    return message.split(" overlap by ")[0].split(" has squared norm ")[0]
+
+
+def _check_against_oracle(states):
+    words = canonical_prefix_code([(len(states) - 1).bit_length()] * len(states))
+    want = pairwise_gram_failure(states)
+    if want is None:
+        build_condensable_code(states, words)
+    else:
+        with pytest.raises(NotOrthonormalError) as exc:
+            build_condensable_code(states, words)
+        assert _culprit(str(exc.value)) == _culprit(want)
+    want = pairwise_gram_failure(states, norms=False)
+    if want is None:
+        kraft_condensable_check(states)
+    else:
+        with pytest.raises(NotOrthogonalError) as exc:
+            kraft_condensable_check(states)
+        assert _culprit(str(exc.value)) == _culprit(want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dim=st.integers(1, len(LABEL_POOL)),
+    tilts=st.lists(
+        st.tuples(st.integers(0, 9), st.integers(0, 9), st.booleans()), max_size=3
+    ),
+    stretch=st.one_of(st.none(), st.tuples(st.integers(0, 9), st.booleans())),
+)
+def test_gram_checks_match_the_pairwise_loop(seed, dim, tilts, stretch):
+    # columns of a random unitary over mixed-length labels, then members
+    # tilted toward each other (overlap) or stretched (squared norm) by
+    # clearly more or clearly less than the 1e-8 tolerance
+    rng = np.random.default_rng(seed)
+    labels = [LABEL_POOL[i] for i in rng.permutation(len(LABEL_POOL))[:dim]]
+    size = int(rng.integers(1, dim + 1))
+    u = random_unitary(rng, dim)
+    members = [dict(zip(labels, u[:, k])) for k in range(size)]
+    for a, b, above in tilts:
+        a, b = a % size, b % size
+        if a == b:
+            continue
+        eps = 10.0 ** (rng.uniform(-7, -4) if above else rng.uniform(-13, -10))
+        for bits, amp in members[a].items():
+            members[b][bits] = members[b].get(bits, 0j) + eps * amp
+    states = [QString(m, normalize=True) for m in members]
+    if stretch is not None:
+        k, above = stretch[0] % size, stretch[1]
+        eps = 10.0 ** (rng.uniform(-7, -4) if above else rng.uniform(-13, -10))
+        states[k] = _unnormalized(
+            {bits: amp * math.sqrt(1.0 + eps) for bits, amp in states[k].items()}
+        )
+    _check_against_oracle(states)
+
+
+def test_gram_checks_report_the_first_failure_row_by_row():
+    tilted = QString({"00": 1.0, "0": 1e-6}, normalize=True)
+    stretched = _unnormalized({"1": math.sqrt(1.0 + 1e-6)})
+    # (0, 2) comes before member 1's own norm
+    with pytest.raises(NotOrthonormalError, match="^members 0 and 2 overlap by"):
+        build_condensable_code(
+            [basis_state("0"), stretched, tilted], {0: "0", 1: "10", 2: "11"}
+        )
+    # a member's norm comes before its overlaps
+    with pytest.raises(NotOrthonormalError, match="^member 1 has squared norm"):
+        build_condensable_code(
+            [basis_state("11"), stretched, tilted, basis_state("0")],
+            {0: "00", 1: "01", 2: "10", 3: "11"},
+        )
+    with pytest.raises(NotOrthogonalError, match="^states 2 and 3 overlap by 1.000e-06"):
+        kraft_condensable_check(
+            [basis_state("11"), stretched, tilted, basis_state("0")]
+        )
+
+
+def test_sw_report_takes_no_pairwise_inner_products(monkeypatch):
+    def refuse(a, b):
+        raise AssertionError("inner_product called")
+
+    monkeypatch.setattr(qfock.fock, "inner_product", refuse)
+    monkeypatch.setattr(qfock.qcode, "inner_product", refuse)
+    code, report = sw_report(random_density(32, seed=5))
+    assert len(code) == 32
+    assert report.kraft <= 1.0
 
 
 # --- lossy typical projection ------------------------------------------------------
