@@ -10,6 +10,10 @@ Every subcommand emits a single report with the same envelope:
       "checks": {...}
     }
 
+``inputs`` digests the exact bytes of every file the command parsed, a
+``.qstr`` file that an ``.ens`` or ``.qm`` file names included, keyed by
+the path as opened; ``fock.read_text`` records them while ``main`` runs.
+
 Numeric fields are printed with 9 significant digits and keys are
 sorted, so a rerun with the same inputs and seed is byte-identical.
 JSON is the canonical format; ``--format csv`` is accepted only by the
@@ -18,7 +22,8 @@ the key order of their table rows, and ``--format text`` renders the
 same report as flat ``key = value`` lines.
 
 Exit codes: 0 success, 1 domain error (structured error record),
-2 usage error, 3 I/O error, 4 malformed input file.
+2 usage error, 3 I/O error, 4 malformed input file (including one that
+is not UTF-8).
 """
 
 from __future__ import annotations
@@ -35,6 +40,7 @@ from typing import TYPE_CHECKING
 from . import __version__
 from .errors import FormatError, QFockError
 from .fock import (
+    _READS,
     EPS_TOKEN,
     average_length,
     base_length,
@@ -46,6 +52,7 @@ from .fock import (
     read_qstring_file,
     self_delimit,
     write_qstring_file,
+    write_text,
 )
 from .codes import (
     PrefixCode,
@@ -100,16 +107,14 @@ def _canon(value):
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
-def _digest(path: str) -> str:
-    with open(path, "rb") as fh:
-        return "sha256:" + hashlib.sha256(fh.read()).hexdigest()
-
-
-def _envelope(seed: int, inputs: Sequence[str], result: dict, checks: dict) -> dict:
+def _envelope(seed: int, reads: dict[str, bytes], result: dict, checks: dict) -> dict:
     return {
         "tool_version": __version__,
         "seed": seed,
-        "inputs": {p: _digest(p) for p in inputs},
+        "inputs": {
+            path: "sha256:" + hashlib.sha256(data).hexdigest()
+            for path, data in reads.items()
+        },
         "result": _canon(result),
         "checks": _canon(checks),
     }
@@ -174,62 +179,51 @@ def _decomposition(est: ComplexityEstimate) -> dict:
     return {format_bits(p): w for p, w in sorted(est.decomposition.items())}
 
 
-def _build_catalog(
-    args, first: Sequence[Describer] = ()
-) -> tuple[MachineCatalog, list[str]]:
-    """Catalog of ``first``, the --machine files, then --identity/--sd-identity.
-
-    Also returns the machine file paths, for the report's inputs.
-    """
+def _build_catalog(args, first: Sequence[Describer] = ()) -> MachineCatalog:
+    """Catalog of ``first``, the --machine files, then --identity/--sd-identity."""
     machines = list(first)
-    inputs: list[str] = []
     for path in args.machine or []:
         machines.append(read_machine_file(path))
-        inputs.append(path)
     if getattr(args, "identity", None) is not None:
         machines.append(identity_machine(args.identity))
     if getattr(args, "sd_identity", None) is not None:
         machines.append(self_delimit_machine(identity_machine(args.sd_identity)))
     if not machines:
         raise _UsageError("no machines given; use --machine, --identity or --sd-identity")
-    return MachineCatalog(machines), inputs
+    return MachineCatalog(machines)
 
 
 # --- subcommand handlers -----------------------------------------------------
-# Each returns (result, checks, inputs, csv_rows_or_None).
+# Each returns (result, checks, csv_rows_or_None).  The report's inputs
+# are the files fock.read_text recorded while the handler ran.
 
 def _cmd_avglen(args):
     state = read_qstring_file(args.state)
-    return (
-        {"average_length": average_length(state), "terms": len(state)},
-        {},
-        [args.state],
-        None,
-    )
+    return ({"average_length": average_length(state), "terms": len(state)}, {}, None)
 
 
 def _cmd_baselen(args):
     state = read_qstring_file(args.state)
-    return ({"base_length": base_length(state)}, {}, [args.state], None)
+    return ({"base_length": base_length(state)}, {}, None)
 
 
 def _cmd_pair(args):
     if args.decode is not None:
         if args.x is not None or args.y is not None:
             raise _UsageError("--decode excludes --x/--y")
-        x, y = pair_decode(_parse_bits_arg(args.decode))
-        return ({"x": format_bits(x), "y": format_bits(y)}, {}, [], None)
+        z = _parse_bits_arg(args.decode)
+        try:
+            x, y = pair_decode(z)
+        except ValueError as exc:  # the library's error for a malformed code
+            raise _UsageError(f"bad pair encoding {args.decode!r}: {exc}") from exc
+        return ({"x": format_bits(x), "y": format_bits(y)}, {}, None)
     if args.x is None or args.y is None:
         raise _UsageError("need both --x and --y (or --decode)")
     x = _parse_bits_arg(args.x)
     y = _parse_bits_arg(args.y)
     encoded = pair_encode(x, y)
-    return (
-        {"encoded": encoded, "length": len(encoded)},
-        {"roundtrip": pair_decode(encoded) == (x, y)},
-        [],
-        None,
-    )
+    checks = {"roundtrip": pair_decode(encoded) == (x, y)}
+    return ({"encoded": encoded, "length": len(encoded)}, checks, None)
 
 
 def _cmd_selfdelim(args):
@@ -246,7 +240,6 @@ def _cmd_selfdelim(args):
             "average_length_out": lout,
         },
         {"length_law": abs(lout - (2.0 * lin + 1.0)) <= 1e-9},
-        [args.state],
         None,
     )
 
@@ -269,14 +262,13 @@ def _cmd_entropy(args):
             "eigenvalues": eigs,
         },
         {"psd": min(eigs) >= -1e-9},
-        [args.rho],
         None,
     )
 
 
 def _cmd_shannon(args):
     probs = _parse_list(args.p, float, "probability")
-    return ({"entropy": shannon_entropy(probs)}, {}, [], None)
+    return ({"entropy": shannon_entropy(probs)}, {}, None)
 
 
 def _cmd_code(args):
@@ -290,7 +282,6 @@ def _cmd_code(args):
             "kraft_feasible": kraft_sum(len(w) for w in code.table.values()) <= 1.0,
             "sandwich": h - 1e-9 <= e < h + 1.0,
         },
-        [],
         None,
     )
 
@@ -302,12 +293,7 @@ def _cmd_kraft(args):
     if min(lengths) < 0:
         raise _UsageError(f"negative length in {args.lengths!r}")
     total = kraft_sum(lengths)
-    return (
-        {"kraft_sum": total, "count": len(lengths)},
-        {"feasible": total <= 1.0},
-        [],
-        None,
-    )
+    return ({"kraft_sum": total, "count": len(lengths)}, {"feasible": total <= 1.0}, None)
 
 
 def _cmd_sw(args):
@@ -324,7 +310,6 @@ def _cmd_sw(args):
             <= report.expected_avg_length
             <= report.entropy + 1.0,
         },
-        [args.rho],
         None,
     )
 
@@ -346,7 +331,6 @@ def _cmd_encode(args):
             "input_average_length": average_length(state),
         },
         {},
-        [args.rho, args.state],
         None,
     )
 
@@ -365,11 +349,10 @@ def _cmd_lossy(args):
         rep = lossy_typical_projection(rho, n, args.delta, dec)
         rows.append(dataclasses.asdict(rep))
     if len(rows) == 1:
-        return (rows[0], {"success_le_one": rows[0]["success"] <= 1.0}, [args.rho], rows)
+        return (rows[0], {"success_le_one": rows[0]["success"] <= 1.0}, rows)
     return (
         {"delta": args.delta, "sweep": rows},
         {"all_success_le_one": all(r["success"] <= 1.0 for r in rows)},
-        [args.rho],
         rows,
     )
 
@@ -379,20 +362,15 @@ def _cmd_complexity(args):
     state = read_qstring_file(args.state)
     est = machine_complexity(machine, state)
     return (
-        {
-            "value": est.value,
-            "decomposition": _decomposition(est),
-        },
+        {"value": est.value, "decomposition": _decomposition(est)},
         {"weights_sum_to_one": abs(sum(est.decomposition.values()) - 1.0) <= 1e-6},
-        [args.machine, args.state],
         None,
     )
 
 
 def _cmd_universal(args):
     state = read_qstring_file(args.state)
-    cat, inputs = _build_catalog(args)
-    est = universal_complexity(cat, state)
+    est = universal_complexity(_build_catalog(args), state)
     return (
         {
             "value": est.value,
@@ -400,7 +378,6 @@ def _cmd_universal(args):
             "decomposition": _decomposition(est),
         },
         {},
-        inputs + [args.state],
         None,
     )
 
@@ -409,17 +386,16 @@ def _cmd_kq(args):
     programs, _ = read_program_table(args.programs)
     state = read_qstring_file(args.state)
     value = fidelity_penalized_complexity(programs, state)
-    return ({"value": value}, {}, [args.programs, args.state], None)
+    return ({"value": value}, {}, None)
 
 
 def _cmd_incompress(args):
     from .experiments import incompressibility_report
 
     states = [read_qstring_file(p) for p in args.state]
-    cat, inputs = _build_catalog(args)
-    result = dataclasses.asdict(incompressibility_report(states, cat))
+    result = dataclasses.asdict(incompressibility_report(states, _build_catalog(args)))
     checks = {"bound_respected": result.pop("verified")}
-    return (result, checks, inputs + list(args.state), None)
+    return (result, checks, None)
 
 
 def _cmd_multicopy(args):
@@ -442,7 +418,6 @@ def _cmd_multicopy(args):
             "raw_kraft_feasible": kraft_sum(rep.raw_lengths) <= 1.0 + 1e-12,
             "normalized_not_longer": rep.expected_normalized <= rep.expected_raw + 1e-12,
         },
-        [],
         rows,
     )
 
@@ -459,7 +434,6 @@ def _cmd_nonadd(args):
             "concentrated_gap_exceeds_k": rep.success_concentrated,
             "diluted_gap_exceeds_k": rep.success_diluted,
         },
-        [],
         None,
     )
 
@@ -472,10 +446,10 @@ def _cmd_sandwich(args):
     ens = read_ensemble_file(args.ensemble)
     rho = density_from_ensemble(ens)
     dec = eig_hermitian(rho)
-    cat, inputs = _build_catalog(args, [machine_from_code(sw_lossless_code(rho, dec))])
+    cat = _build_catalog(args, [machine_from_code(sw_lossless_code(rho, dec))])
     result = dataclasses.asdict(entropy_sandwich_report(ens, cat, dec))
     checks = {"lower": result.pop("lower_ok"), "upper": result.pop("upper_ok")}
-    return (result, checks, [args.ensemble] + inputs, None)
+    return (result, checks, None)
 
 
 def _parse_ineq_spec(text: str, n_parties: int) -> InequalitySpec:
@@ -512,7 +486,7 @@ def _cmd_ineq(args):
         spec = _parse_ineq_spec(args.spec, len(dims))
         rho = density_from_ensemble(read_ensemble_file(args.rho))
         value = inequality_check(spec, rho, dims, mode="joint")
-        return ({"value": value, "mode": "joint"}, {}, [args.rho], None)
+        return ({"value": value, "mode": "joint"}, {}, None)
     if not args.factor:
         raise _UsageError("product mode needs at least one --factor")
     factors = [density_from_ensemble(read_ensemble_file(p)) for p in args.factor]
@@ -525,12 +499,15 @@ def _cmd_ineq(args):
     return (
         {"value": value, "mode": "product", "joint_value": joint_value},
         {"paths_agree": abs(value - joint_value) <= 1e-9},
-        list(args.factor),
         None,
     )
 
 
 def _cmd_randrho(args):
+    # numpy's generator takes only non-negative seeds; other commands
+    # merely record --seed, so they take any integer.
+    if args.seed < 0:
+        raise _UsageError(f"randrho needs a non-negative --seed, got {args.seed}")
     from .experiments import random_density
     from .linalg import (
         Ensemble,
@@ -554,7 +531,6 @@ def _cmd_randrho(args):
             "ensemble_text": dump_ensemble(ens),
         },
         {"trace_one": abs(sum(float(x) for x in dec.eigenvalues) - 1.0) <= 1e-9},
-        [],
         None,
     )
 
@@ -673,8 +649,7 @@ _HANDLERS = {
 
 def _write_output(text: str, out_path: str | None) -> None:
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        write_text(out_path, text)
     else:
         sys.stdout.write(text)
 
@@ -682,9 +657,11 @@ def _write_output(text: str, out_path: str | None) -> None:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    reads: dict[str, bytes] = {}
+    recording = _READS.set(reads)  # fock.read_text records each input here
     try:
-        result, checks, inputs, rows = _HANDLERS[args.command](args)
-        report = _envelope(args.seed, inputs, result, checks)
+        result, checks, rows = _HANDLERS[args.command](args)
+        report = _envelope(args.seed, reads, result, checks)
         if args.format == "csv":
             if rows is None:
                 raise _UsageError(f"{args.command} has no csv table")
@@ -708,6 +685,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     except OSError as exc:
         sys.stderr.write(f"{parser.prog}: i/o error: {exc}\n")
         return 3
+    finally:
+        _READS.reset(recording)
 
 
 if __name__ == "__main__":

@@ -28,24 +28,28 @@ PROB_FLOOR = 1e-15
 PROB_TOL = 1e-9
 
 
-def ceil_bits(bits: float, *, snap: float = 1e-9) -> int:
+#: A bit count within this of an integer is rounded to it before a ceiling.
+CEIL_SNAP = 1e-9
+
+
+def ceil_bits(bits: float) -> int:
     """Smallest nonnegative integer >= ``bits``.
 
-    A bit count within ``snap`` of an integer is rounded to it first so
-    that exactly dyadic probabilities (0.5, 0.25, ...) are not pushed up
-    a bit by floating point noise.
+    A bit count within ``CEIL_SNAP`` of an integer is rounded to it first
+    so that exactly dyadic probabilities (0.5, 0.25, ...) are not pushed
+    up a bit by floating point noise.
     """
     r = round(bits)
-    if abs(bits - r) <= snap:
+    if abs(bits - r) <= CEIL_SNAP:
         bits = float(r)
     return max(0, math.ceil(bits))
 
 
-def ceil_neg_log2(x: float, *, snap: float = 1e-9) -> int:
+def ceil_neg_log2(x: float) -> int:
     """Smallest nonnegative integer >= -log2(x), snapped as in ``ceil_bits``."""
     if x <= 0.0:
         raise ValueError("argument must be positive")
-    return ceil_bits(-math.log2(x), snap=snap)
+    return ceil_bits(-math.log2(x))
 
 
 def check_prefix_free(words: Iterable[str]) -> None:

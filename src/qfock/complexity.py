@@ -48,6 +48,9 @@ from .errors import (
     OutOfSpanError,
 )
 from .fock import (
+    AMP_FLOOR,
+    ORTHO_TOL,
+    SPAN_TOL,
     QString,
     check_bitstring,
     delimit_bits,
@@ -57,14 +60,14 @@ from .fock import (
     length_lex,
     load_state_ref,
     parse_bits,
+    read_text,
     text_lines,
+    write_text,
 )
 
 if TYPE_CHECKING:  # qcode loads numpy; only machine_from_code's annotation needs it
     from .qcode import CondensableCode
 
-SPAN_TOL = 1e-8
-AMP_FLOOR = 1e-12
 OVERLAP_FLOOR = 1e-8
 IDENTITY_MAX_LEN = 20
 
@@ -119,7 +122,7 @@ class DescriberMachine:
         for prog, out in table.items():
             if len(out) == 1:
                 ((bits, amp),) = out.items()
-                if abs(abs(amp) - 1.0) <= 1e-8:
+                if abs(abs(amp) - 1.0) <= ORTHO_TOL:
                     if bits in simple_keys:
                         raise NotOrthonormalError(
                             f"two programs output the basis string {bits!r}"
@@ -129,19 +132,19 @@ class DescriberMachine:
             general.append((prog, out))
         for i, (prog_a, a) in enumerate(general):
             norm = inner_product(a, a).real
-            if abs(norm - 1.0) > 1e-8:
+            if abs(norm - 1.0) > ORTHO_TOL:
                 raise NotOrthonormalError(
                     f"output of program {format_bits(prog_a)!r} has norm {norm!r}"
                 )
             for bits, amp in a.items():
-                if bits in simple_keys and abs(amp) > 1e-8:
+                if bits in simple_keys and abs(amp) > ORTHO_TOL:
                     raise NotOrthonormalError(
                         f"output of {format_bits(prog_a)!r} overlaps a "
                         f"basis-string output on {bits!r}"
                     )
             for prog_b, b in general[i + 1 :]:
                 ov = inner_product(a, b)
-                if abs(ov) > 1e-8:
+                if abs(ov) > ORTHO_TOL:
                     raise NotOrthonormalError(
                         f"outputs of {format_bits(prog_a)!r} and "
                         f"{format_bits(prog_b)!r} overlap by {abs(ov):.3e}"
@@ -406,8 +409,7 @@ def load_program_table(
 
 def read_program_table(path: str) -> tuple[dict[str, QString], bool]:
     """:func:`load_program_table` on a file, its state paths resolved next to it."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return load_program_table(fh.read(), base_dir=os.path.dirname(path) or ".")
+    return load_program_table(read_text(path), base_dir=os.path.dirname(path) or ".")
 
 
 def load_machine(text: str, *, base_dir: str | None = None) -> DescriberMachine:
@@ -428,5 +430,4 @@ def dump_machine(machine: Describer) -> str:
 
 
 def write_machine_file(path: str, machine: Describer) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dump_machine(machine))
+    write_text(path, dump_machine(machine))

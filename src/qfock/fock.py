@@ -27,6 +27,9 @@ This module also holds the rules every text format shares, so ``.ens``
 :func:`parse_bits` / :func:`format_bits` read and write bitstring tokens
 (``eps`` for the empty string), and :func:`load_state_ref` reads a state
 given inline or as a ``.qstr`` path next to the referencing file.
+
+Every file the package reads goes through :func:`read_text`, and every
+file it writes through :func:`write_text`.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ from __future__ import annotations
 import math
 import os
 from collections.abc import Iterable, Iterator, Mapping
+from contextvars import ContextVar
 
 from .errors import (
     DuplicateKeyError,
@@ -48,6 +52,13 @@ LENGTH_CAP = 1 << 20
 
 #: Tolerance on the squared norm of a state.
 NORM_TOL = 1e-9
+
+#: Tolerance on the norms and overlaps of states that must be orthonormal,
+#: the largest squared norm a state may leave outside a span, and the
+#: amplitude (or weight) at or below which a term counts as zero.
+ORTHO_TOL = 1e-8
+SPAN_TOL = 1e-8
+AMP_FLOOR = 1e-12
 
 
 def is_bitstring(bits: str) -> bool:
@@ -315,7 +326,7 @@ def dump_qstring(state: QString) -> str:
     return "\n".join(lines) + "\n"
 
 
-def load_qstring(text: str, *, normalize: bool = False) -> QString:
+def load_qstring(text: str) -> QString:
     """Parse the ``.qstr`` text form produced by :func:`dump_qstring`."""
     pairs: list[tuple[str, complex]] = []
     for lineno, line in text_lines(text):
@@ -334,7 +345,7 @@ def load_qstring(text: str, *, normalize: bool = False) -> QString:
     if not pairs:
         raise FormatError("no terms found")
     try:
-        return QString(pairs, normalize=normalize)
+        return QString(pairs)
     except DuplicateKeyError as exc:
         raise FormatError(str(exc)) from exc
 
@@ -378,9 +389,31 @@ def format_inline_state(state: QString) -> str:
     return "{ " + parts + " }"
 
 
-def read_qstring_file(path: str, *, normalize: bool = False) -> QString:
-    with open(path, "r", encoding="utf-8") as fh:
-        return load_qstring(fh.read(), normalize=normalize)
+# path -> bytes of every file read_text reads, while the command line asks.
+_READS: ContextVar[dict[str, bytes] | None] = ContextVar("_READS", default=None)
+
+
+def read_text(path: str) -> str:
+    """The file's bytes, read once, as UTF-8; other bytes are a FormatError."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    reads = _READS.get()
+    if reads is not None:
+        reads[path] = data
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8: byte {exc.start}: {exc.reason}") from None
+
+
+def write_text(path: str, text: str) -> None:
+    """Write ``text`` to ``path`` as UTF-8, line endings untranslated."""
+    with open(path, "wb") as fh:
+        fh.write(text.encode("utf-8"))
+
+
+def read_qstring_file(path: str) -> QString:
+    return load_qstring(read_text(path))
 
 
 def load_state_ref(ref: str, base_dir: str | None, lineno: int) -> QString:
@@ -395,12 +428,12 @@ def load_state_ref(ref: str, base_dir: str | None, lineno: int) -> QString:
         if ref.startswith("{"):
             return parse_inline_state(ref)
         path = ref if base_dir is None else os.path.join(base_dir, ref)
+        text = read_text(path)  # a decoding error names the path itself
         where += f": {path}"
-        return read_qstring_file(path)
+        return load_qstring(text)
     except FormatError as exc:
         raise FormatError(f"{where}: {exc}") from exc
 
 
 def write_qstring_file(path: str, state: QString) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dump_qstring(state))
+    write_text(path, dump_qstring(state))

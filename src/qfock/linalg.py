@@ -43,7 +43,9 @@ from .fock import (
     format_inline_state,
     length_lex,
     load_state_ref,
+    read_text,
     text_lines,
+    write_text,
 )
 
 HERM_TOL = 1e-9
@@ -357,10 +359,8 @@ def dump_ensemble(e: Ensemble) -> str:
 
 
 def read_ensemble_file(path: str) -> Ensemble:
-    with open(path, "r", encoding="utf-8") as fh:
-        return load_ensemble(fh.read(), base_dir=os.path.dirname(path) or ".")
+    return load_ensemble(read_text(path), base_dir=os.path.dirname(path) or ".")
 
 
 def write_ensemble_file(path: str, e: Ensemble) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dump_ensemble(e))
+    write_text(path, dump_ensemble(e))

@@ -49,7 +49,7 @@ from .errors import (
     NotOrthonormalError,
     OutOfSpanError,
 )
-from .fock import QString, average_length, inner_product
+from .fock import AMP_FLOOR, ORTHO_TOL, SPAN_TOL, QString, average_length, inner_product
 from .linalg import (
     DensityOperator,
     SpectralDecomposition,
@@ -57,9 +57,6 @@ from .linalg import (
     entropy_of_spectrum,
 )
 
-ORTHO_TOL = 1e-8
-SPAN_TOL = 1e-8
-AMP_FLOOR = 1e-12
 EIG_FLOOR = 1e-12
 # With a delta so large that nothing is pruned, enumerating the classes
 # at the cap takes 1.1-1.9 s for d <= 10 (d=8, n=20: 888,030 classes) and
@@ -115,16 +112,6 @@ def _gram_failure(
     return i, j, float(g.real[i, i] if i == j else dev[i, j])
 
 
-def _check_orthonormal(states: Sequence[QString], tol: float = ORTHO_TOL) -> None:
-    failure = _gram_failure(states, tol, norms=True)
-    if failure is None:
-        return
-    i, j, value = failure
-    if i == j:
-        raise NotOrthonormalError(f"member {i} has squared norm {value!r}")
-    raise NotOrthonormalError(f"members {i} and {j} overlap by {value:.3e}")
-
-
 class CondensableCode:
     """An orthonormal source basis plus aligned prefix-free codewords."""
 
@@ -138,7 +125,12 @@ class CondensableCode:
             raise ArityMismatchError(
                 f"codewords must be indexed 0..{len(basis) - 1} to match the basis"
             )
-        _check_orthonormal(basis)
+        failure = _gram_failure(basis, ORTHO_TOL, norms=True)
+        if failure is not None:
+            i, j, value = failure
+            if i == j:
+                raise NotOrthonormalError(f"member {i} has squared norm {value!r}")
+            raise NotOrthonormalError(f"members {i} and {j} overlap by {value:.3e}")
         self._basis = basis
         self._words = words
 
@@ -317,10 +309,10 @@ def _type_classes(lams: Sequence[float], n: int, budget: int | None = None):
     least ``EIG_FLOOR``, every sum has at most 64 terms totalling at most
     64 * 40 bits, so round-off moves the floor and the final sum by under
     1e-10 bits, and a class fits only if its sum is at most
-    ``budget + 1e-9`` (the snap in ``ceil_bits``).  The floor is clamped
-    at 0; that overstates it only for an eigenvalue that rounds above 1,
-    by at most 64 * log2(that eigenvalue), far below the slack for a
-    trace-one operator.  So no class that fits is ever cut.
+    ``budget + CEIL_SNAP`` (1e-9, the snap in ``ceil_bits``).  The floor
+    is clamped at 0; that overstates it only for an eigenvalue that
+    rounds above 1, by at most 64 * log2(that eigenvalue), far below the
+    slack for a trace-one operator.  So no class that fits is ever cut.
     """
     logs = [math.log2(lam) for lam in lams]
     last = len(logs) - 1

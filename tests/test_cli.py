@@ -1,4 +1,7 @@
+import builtins
+import hashlib
 import json
+import os
 
 import pytest
 
@@ -72,6 +75,22 @@ def test_pair_rejects_empty_bitstring_argument(argv, capsys):
     assert capsys.readouterr().err == (
         "qfock: usage error: bad bitstring argument '' (use 'eps' for empty)\n"
     )
+
+
+@pytest.mark.parametrize(
+    "code, reason",
+    [("111", "missing delimiter: input is all ones"),
+     ("1101", "input too short for its announced first component")],
+    ids=["all-ones", "too-short"],
+)
+def test_pair_bad_encoding_is_a_usage_error(code, reason, capsys):
+    # the library raises ValueError; the command line reports a usage error
+    with pytest.raises(SystemExit) as exc:
+        main(["pair", "--decode", code])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"qfock: usage error: bad pair encoding {code!r}: {reason}\n"
 
 
 def test_selfdelim_writes_state(workdir, capsys):
@@ -315,6 +334,17 @@ def test_randrho_deterministic_and_file(workdir, capsys):
     assert rep3["result"]["entropy"] == pytest.approx(
         rep1["result"]["entropy"], abs=1e-6
     )
+
+
+def test_randrho_negative_seed_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["randrho", "--dim", "3", "--seed", "-1"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == (
+        "qfock: usage error: randrho needs a non-negative --seed, got -1\n"
+    )
+    # the other commands only record --seed, so any integer is fine there
+    assert run_json(capsys, ["kraft", "--lengths", "1", "--seed", "-1"])["seed"] == -1
 
 
 def test_kq_resolves_states_next_to_the_machine_file(tmp_path, capsys, monkeypatch):
@@ -568,3 +598,118 @@ def test_reports_are_deterministic(workdir, capsys):
     _, first = run(capsys, argv)
     _, second = run(capsys, argv)
     assert first == second
+
+
+# --- the file edge: every input read once, digested as parsed ---------------------
+
+def sha(data: bytes) -> str:
+    return "sha256:" + hashlib.sha256(data).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "name, text, argv",
+    [
+        ("e.ens", "0.5 sub.qstr\n0.5 { 1:1,0 }\n", ["entropy", "--rho", "d/e.ens"]),
+        ("m.qm", "prefix: true\n0 -> { 0:1,0 }\n10 -> sub.qstr\n",
+         ["complexity", "--machine", "d/m.qm", "--state", "s.qstr"]),
+    ],
+    ids=["ens", "qm"],
+)
+def test_referenced_states_are_inputs(name, text, argv, workdir, capsys, monkeypatch):
+    (workdir / "d").mkdir()
+    (workdir / "d" / "sub.qstr").write_bytes(b"# referenced\n11 1.0 0.0\n")
+    (workdir / "d" / name).write_text(text)
+    monkeypatch.chdir(workdir)
+    rep = run_json(capsys, argv)
+    named = argv[2::2]  # the files named on the command line
+    want = {p: sha((workdir / p).read_bytes()) for p in named}
+    # keyed by the path as opened: next to the referencing file
+    want[os.path.join("d", "sub.qstr")] = sha(b"# referenced\n11 1.0 0.0\n")
+    assert rep["inputs"] == want
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["avglen", "--state", "bad8.qstr"],
+         "bad8.qstr: not UTF-8: byte 21: invalid start byte"),
+        (["entropy", "--rho", "bad8.ens"],
+         "bad8.ens: not UTF-8: byte 14: invalid continuation byte"),
+        (["entropy", "--rho", "ref.ens"],
+         "line 1: ./bad8.qstr: not UTF-8: byte 21: invalid start byte"),
+        (["complexity", "--machine", "ref.qm", "--state", "s.qstr"],
+         "line 2: ./bad8.qstr: not UTF-8: byte 21: invalid start byte"),
+    ],
+    ids=["qstr", "ens", "ens-ref", "qm-ref"],
+)
+def test_non_utf8_input_is_a_format_error(argv, message, workdir, capsys, monkeypatch):
+    (workdir / "bad8.qstr").write_bytes(b"0 0.6 0.0\n11 0.8 0.0 \xff\n")
+    (workdir / "bad8.ens").write_bytes(b"1.0 { 0:1,0 } \xe9\n")
+    (workdir / "ref.ens").write_text("1.0 bad8.qstr\n")
+    (workdir / "ref.qm").write_text("prefix: true\n0 -> bad8.qstr\n")
+    monkeypatch.chdir(workdir)
+    code, out = run(capsys, argv)
+    assert code == 4
+    assert json.loads(out)["error"] == {"type": "FormatError", "message": message}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["avglen", "--state", "s.qstr"],
+        ["entropy", "--rho", "r.ens"],
+        ["encode", "--rho", "dyadic.ens", "--state", "s.qstr", "--out-state", "x.qstr"],
+        ["lossy", "--rho", "rho09.ens", "--n", "10,20", "--delta", "0.1"],
+        ["complexity", "--machine", "r.qm", "--state", "plus.qstr"],
+        ["universal", "--machine", "m.qm", "--sd-identity", "3", "--state", "s.qstr"],
+        ["kq", "--programs", "m.qm", "--state", "plus.qstr"],
+        ["incompress", "--state", "s.qstr", "--state", "plus.qstr", "--machine", "r.qm",
+         "--sd-identity", "2"],
+        ["sandwich", "--ensemble", "r.ens", "--machine", "m.qm"],
+        ["ineq", "--spec", "1=1;2=1", "--mode", "product", "--factor", "rho09.ens",
+         "--factor", "r.ens"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_each_input_file_is_opened_once(argv, workdir, capsys, monkeypatch):
+    (workdir / "sub.qstr").write_text("1 1.0 0.0\n")
+    (workdir / "r.ens").write_text("0.5 sub.qstr\n0.5 { 0:1,0 }\n")
+    (workdir / "r.qm").write_text("prefix: false\n0 -> sub.qstr\n1 -> { 0:1,0 }\n")
+    monkeypatch.chdir(workdir)
+    opened = []
+    real_open = builtins.open
+
+    def counting_open(file, *args, **kwargs):
+        opened.append(os.path.normpath(os.fspath(file)))
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counting_open)
+    assert main([*argv, "--out", "report.json"]) == 0
+    rep = json.loads((workdir / "report.json").read_text())
+    written = {"report.json", "x.qstr"}
+    reads = [p for p in opened if p not in written and (workdir / p).is_file()]
+    assert sorted(reads) == sorted(set(reads))  # none opened twice
+    assert {os.path.normpath(p) for p in rep["inputs"]} == set(reads)
+    for path, digest in rep["inputs"].items():
+        assert digest == sha((workdir / path).read_bytes())
+
+
+@pytest.mark.parametrize(
+    "files, argv",
+    [
+        ({"a.qstr": "# lf or crlf\n0 0.6 0.0\n\n11 0.8 0.0\n"}, ["avglen", "--state", "a.qstr"]),
+        ({"a.ens": "0.5 { 0:1,0 }\n# ref\n0.5 a.qstr\n", "a.qstr": "1 1.0 0.0\n"},
+         ["entropy", "--rho", "a.ens"]),
+        ({"a.qm": "prefix: true\n0 -> { 0:1,0 }\n\n10 -> a.qstr\n", "a.qstr": "11 1.0 0.0\n"},
+         ["complexity", "--machine", "a.qm", "--state", "s.qstr"]),
+    ],
+    ids=["qstr", "ens", "qm"],
+)
+def test_crlf_files_parse_as_lf(files, argv, workdir, capsys, monkeypatch):
+    monkeypatch.chdir(workdir)
+    results = []
+    for eol in ("\n", "\r\n"):
+        for name, text in files.items():
+            (workdir / name).write_bytes(text.replace("\n", eol).encode())
+        results.append(run_json(capsys, argv)["result"])
+    assert results[0] == results[1]

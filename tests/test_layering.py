@@ -4,6 +4,9 @@
 ``errors``, ``fock``, ``codes``, ``complexity``, ``experiments``, ``cli``
 and the package itself reach them only inside the functions that need
 linear algebra, or through the package's lazy ``__getattr__``.
+
+The package also has one file edge: only ``fock.read_text`` and
+``fock.write_text`` open files.
 """
 
 import ast
@@ -167,6 +170,34 @@ def test_only_linalg_and_qcode_import_numpy_at_module_level():
     for module, algebra in loads_algebra.items():
         if module not in NUMPY_MODULES:
             assert not algebra, f"{module} imports {sorted(algebra)} at module level"
+
+
+def _open_references(tree: ast.Module) -> list[str]:
+    """The enclosing function (or ``<module>``) of each ``open`` or ``.open``."""
+    found: list[str] = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if (isinstance(child, ast.Name) and child.id == "open") or (
+                isinstance(child, ast.Attribute) and child.attr == "open"
+            ):
+                found.append(where)
+            named = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, child.name if named else where)
+
+    visit(tree, "<module>")
+    return found
+
+
+def test_only_read_text_and_write_text_open_files():
+    # One edge for files: every input is opened (and recorded for the
+    # report) in fock.read_text, and every output written in fock.write_text.
+    openers = [
+        (path.stem, where)
+        for path in sorted(SRC.glob("*.py"))
+        for where in _open_references(ast.parse(path.read_text(), str(path)))
+    ]
+    assert sorted(openers) == [("fock", "read_text"), ("fock", "write_text")]
 
 
 def test_public_names_unchanged_and_resolvable():
