@@ -62,3 +62,22 @@ joint = tensor_product(a, b)
 via_joint = inequality_check(mutual, joint, [2, 3])
 via_parts = inequality_check(mutual, [a, b], mode="product")
 print(f"product state: joint={via_joint:.3e} parts={via_parts:.3e}")
+
+# %% Parties of indeterminate length
+#
+# A dyadic source emits the prefix-free words 0, 10 and 11, so its
+# factor has labels of mixed length.  Each joint label of qubit (x)
+# source splits into one label per party in exactly one way, so
+# partial_trace takes the party bases and looks every label up.
+qubit = density_from_ensemble([(0.9, QString({"0": 1.0})), (0.1, QString({"1": 1.0}))])
+source = density_from_ensemble(
+    [(0.5, QString({"0": 1.0})), (0.25, QString({"10": 1.0})), (0.25, QString({"11": 1.0}))]
+)
+joint = tensor_product(qubit, source)
+print("joint labels:", joint.basis)
+parties = [qubit.basis, source.basis]
+print("source marginal labels:", partial_trace(joint, parties, [2]).basis)
+via_joint = inequality_check(mutual, joint, parties)
+via_parts = inequality_check(mutual, [qubit, source], mode="product")
+print(f"qubit (x) source: joint={via_joint:.3e} parts={via_parts:.3e}")
+assert abs(via_joint - via_parts) <= 1e-9, "joint and product routes must agree"

@@ -492,9 +492,8 @@ def _cmd_ineq(args):
     factors = [density_from_ensemble(read_ensemble_file(p)) for p in args.factor]
     spec = _parse_ineq_spec(args.spec, len(factors))
     value = inequality_check(spec, factors, mode="product")
-    dims = [f.dim for f in factors]
     joint_value = inequality_check(
-        spec, product_state(factors), dims, mode="joint"
+        spec, product_state(factors), [f.basis for f in factors], mode="joint"
     )
     return (
         {"value": value, "mode": "product", "joint_value": joint_value},

@@ -19,6 +19,8 @@ self-contained, checkable report:
 * ``inequality_check``: evaluate a linear entropy expression over
   subsystem marginals, either on an explicit joint state or on a
   product state where additivity makes every marginal entropy a sum.
+  Party labels may have any lengths whose concatenations are
+  unambiguous; an int party stands for fixed-width binary labels.
 """
 
 from __future__ import annotations
@@ -401,14 +403,14 @@ class InequalitySpec:
 def inequality_check(
     spec: InequalitySpec,
     rho: DensityOperator | Sequence[DensityOperator],
-    dims: Sequence[int] | None = None,
+    dims: Sequence[int | Sequence[str]] | None = None,
     *,
     mode: str = "joint",
 ) -> float:
     """Evaluate ``sum_W lambda_W S(rho^W)``.
 
-    Joint mode takes an explicit joint state plus its subsystem
-    dimensions and computes every marginal with ``partial_trace``.
+    Joint mode takes an explicit joint state plus one basis (or int
+    dimension) per party and computes every marginal with ``partial_trace``.
     Product mode takes one factor per party and uses additivity,
     ``S(rho^W) = sum_{i in W} S(rho_i)``; no joint operator is formed.
     """
@@ -418,11 +420,9 @@ def inequality_check(
         if not isinstance(rho, DensityOperator):
             raise TypeError("joint mode expects a single DensityOperator")
         if dims is None:
-            raise ValueError("joint mode requires subsystem dimensions")
+            raise ValueError("joint mode requires the party bases or dimensions")
         if len(dims) != spec.n_parties:
-            raise ValueError(
-                f"{len(dims)} dimensions for {spec.n_parties} parties"
-            )
+            raise ValueError(f"{len(dims)} party bases for {spec.n_parties} parties")
         total = 0.0
         for w, coeff in spec.terms:
             total += coeff * von_neumann_entropy(partial_trace(rho, dims, w))

@@ -241,45 +241,63 @@ def von_neumann_entropy(rho: DensityOperator) -> float:
     return entropy_of_spectrum(dec.eigenvalues)
 
 
+def _party_basis(party: int | Sequence[str]) -> tuple[str, ...]:
+    """A party's labels: its basis, or for an int ``d`` the ``d``
+    fixed-width binary labels (width ``ceil(log2 d)``, minimum 1)."""
+    if isinstance(party, (int, np.integer)):
+        width = max(1, (int(party) - 1).bit_length())
+        labels = tuple(format(v, f"0{width}b") for v in range(party))
+    else:
+        labels = tuple(party)
+    if not labels:
+        raise DimensionMismatchError("every party needs at least one label")
+    return labels
+
+
+def _concat_index(bases: Sequence[Sequence[str]]) -> dict[str, int]:
+    """Joint label -> row-major index over the concatenations of ``bases``.
+
+    Two concatenations that spell the same string raise, so every joint
+    label splits into party labels in exactly one way.
+    """
+    index = {"": 0}
+    for basis in bases:
+        n = len(basis)
+        index = {j + b: i * n + k for j, i in index.items() for k, b in enumerate(basis)}
+    if len(index) != math.prod(len(b) for b in bases):
+        raise DimensionMismatchError(
+            "two concatenations of party labels spell the same string"
+        )
+    return index
+
+
 def tensor_product(a: DensityOperator, b: DensityOperator) -> DensityOperator:
     """Kronecker product with concatenated basis labels."""
     _check_dim(a.dim * b.dim, "product dimension")
-    basis = tuple(x + y for x in a.basis for y in b.basis)
-    if len(set(basis)) != len(basis):
-        raise DimensionMismatchError(
-            "concatenated basis labels collide; factors need fixed-width labels"
-        )
+    basis = tuple(_concat_index([a.basis, b.basis]))
     return DensityOperator(basis, np.kron(a.matrix, b.matrix))
-
-
-def _label_width(dim: int) -> int:
-    return max(1, (dim - 1).bit_length())
 
 
 def subsystem_labels(dims: Sequence[int]) -> tuple[str, ...]:
     """Canonical fixed-width labels for the product basis of ``dims``."""
-    widths = [_label_width(d) for d in dims]
-    labels = [""]
-    for d, w in zip(dims, widths):
-        labels = [
-            prefix + format(v, "b").zfill(w) for prefix in labels for v in range(d)
-        ]
-    return tuple(labels)
+    return tuple(_concat_index([_party_basis(d) for d in dims]))
 
 
 def partial_trace(
-    rho: DensityOperator, dims: Sequence[int], keep: Iterable[int]
+    rho: DensityOperator, parties: Sequence[int | Sequence[str]], keep: Iterable[int]
 ) -> DensityOperator:
-    """Trace out every subsystem not in ``keep``.
+    """Trace out every party not in ``keep``.
 
-    ``dims`` lists the subsystem dimensions in order; subsystems are
-    numbered from 1.  Basis labels must be fixed-width concatenations of
-    per-subsystem labels (width ``ceil(log2 dim)``, minimum 1).
+    ``parties`` lists each party's basis in order, either as a sequence
+    of labels or as an int ``d`` for the ``d`` fixed-width binary labels
+    of ``subsystem_labels``; parties are numbered from 1.  Every label of
+    ``rho.basis`` must be a concatenation of one label per party, and no
+    two concatenations may spell the same string.  The kept labels are
+    concatenated the same way.
     """
-    dims = [int(d) for d in dims]
-    if any(d < 2 for d in dims):
-        raise DimensionMismatchError("subsystem dimensions must be at least 2")
-    n = len(dims)
+    bases = [_party_basis(p) for p in parties]
+    n = len(bases)
+    dims = [len(b) for b in bases]
     full_dim = math.prod(dims)
     _check_dim(full_dim, "joint dimension")
     kept = sorted(set(int(k) for k in keep))
@@ -287,30 +305,13 @@ def partial_trace(
         raise DimensionMismatchError(
             f"keep must be a non-empty subset of 1..{n}, got {kept}"
         )
-    widths = [_label_width(d) for d in dims]
-    total_width = sum(widths)
-    offsets = []
-    pos = 0
-    for w in widths:
-        offsets.append((pos, pos + w))
-        pos += w
-
-    def embed_index(bits: str) -> int:
-        if len(bits) != total_width:
-            raise DimensionMismatchError(
-                f"basis label {bits!r} does not split into widths {widths}"
-            )
-        idx = 0
-        for (lo, hi), d in zip(offsets, dims):
-            v = int(bits[lo:hi], 2)
-            if v >= d:
-                raise DimensionMismatchError(
-                    f"label slice {bits[lo:hi]!r} out of range for dimension {d}"
-                )
-            idx = idx * d + v
-        return idx
-
-    rows = [embed_index(b) for b in rho.basis]
+    index = _concat_index(bases)
+    try:
+        rows = [index[b] for b in rho.basis]
+    except KeyError as exc:
+        raise DimensionMismatchError(
+            f"basis label {exc.args[0]!r} is not a concatenation of party labels"
+        ) from None
     full = np.zeros((full_dim, full_dim), dtype=complex)
     full[np.ix_(rows, rows)] = rho.matrix
     tensor = full.reshape(tuple(dims) * 2)
@@ -323,10 +324,9 @@ def partial_trace(
     out_sub = "".join(row_sub[i - 1] for i in kept) + "".join(col_sub[i - 1] for i in kept)
     contracted = np.einsum("".join(row_sub) + "".join(col_sub) + "->" + out_sub, tensor)
 
-    out_dims = [dims[i - 1] for i in kept]
-    out_dim = math.prod(out_dims)
+    out_dim = math.prod(dims[i - 1] for i in kept)
     out = contracted.reshape(out_dim, out_dim)
-    return DensityOperator(subsystem_labels(out_dims), out)
+    return DensityOperator(tuple(_concat_index([bases[i - 1] for i in kept])), out)
 
 
 # --- ensemble text format ----------------------------------------------------

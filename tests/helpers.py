@@ -203,3 +203,47 @@ def jacobi_eigh(matrix, tol=1e-12, max_sweeps=50):
                 a[p, q] = a[q, p] = 0.0
                 v[:, [p, q]] = v[:, [p, q]] @ rot
     raise AssertionError(f"Jacobi did not converge in {max_sweeps} sweeps")
+
+
+def partial_trace_by_widths(rho, dims, keep):
+    """``partial_trace`` by slicing each label at fixed widths.
+
+    The algorithm ``linalg.partial_trace`` ran before it looked labels up
+    by party: each subsystem of dimension d owns a binary slice of width
+    ``ceil(log2 d)`` (minimum 1), read as the party's index.  An oracle
+    for fixed-width joint bases, where both must agree bit for bit.
+    """
+    from qfock import DensityOperator, DimensionMismatchError
+
+    dims = [int(d) for d in dims]
+    n = len(dims)
+    kept = sorted(set(int(k) for k in keep))
+    if not kept or kept[0] < 1 or kept[-1] > n:
+        raise DimensionMismatchError(f"keep must be a non-empty subset of 1..{n}")
+    widths = [max(1, (d - 1).bit_length()) for d in dims]
+    rows = []
+    for bits in rho.basis:
+        if len(bits) != sum(widths):
+            raise DimensionMismatchError(f"{bits!r} does not split into {widths}")
+        idx, pos = 0, 0
+        for w, d in zip(widths, dims):
+            v = int(bits[pos:pos + w], 2)
+            if v >= d:
+                raise DimensionMismatchError(f"{bits!r} is out of range for {dims}")
+            idx, pos = idx * d + v, pos + w
+        rows.append(idx)
+    full_dim = math.prod(dims)
+    full = np.zeros((full_dim, full_dim), dtype=complex)
+    full[np.ix_(rows, rows)] = rho.matrix
+    tensor = full.reshape(tuple(dims) * 2)
+
+    letters = iter("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ")
+    row_sub = [next(letters) for _ in range(n)]
+    col_sub = [row_sub[i] if (i + 1) not in kept else next(letters) for i in range(n)]
+    out_sub = "".join(row_sub[i - 1] for i in kept) + "".join(col_sub[i - 1] for i in kept)
+    contracted = np.einsum("".join(row_sub) + "".join(col_sub) + "->" + out_sub, tensor)
+
+    labels = [""]
+    for i in kept:
+        labels = [p + format(v, f"0{widths[i - 1]}b") for p in labels for v in range(dims[i - 1])]
+    return DensityOperator(labels, contracted.reshape(len(labels), len(labels)))

@@ -321,6 +321,60 @@ def test_ineq_joint_and_product(workdir, capsys):
     assert rep["checks"]["paths_agree"] is True
 
 
+FACTORS = {
+    "q.ens": "0.9 { 0:1,0 }\n0.1 { 1:1,0 }\n",
+    "d.ens": "0.5 { 0:1,0 }\n0.25 { 10:1,0 }\n0.25 { 11:1,0 }\n",
+    "pure.ens": "1.0 { 0:1,0 }\n",
+    "q3.ens": "0.5 { 00:1,0 }\n0.5 { 01:1,0 }\n",
+    "a.ens": "0.5 { 0:1,0 }\n0.5 { 01:1,0 }\n",
+    "b.ens": "0.5 { 1:1,0 }\n0.5 { 11:1,0 }\n",
+}
+
+
+def ineq_product(workdir, capsys, *names):
+    for name, text in FACTORS.items():
+        (workdir / name).write_text(text)
+    argv = ["ineq", "--spec", "1=1;2=1;1,2=-1", "--mode", "product"]
+    for name in names:
+        argv += ["--factor", workdir / name]
+    return run(capsys, argv)
+
+
+@pytest.mark.parametrize(
+    "names",
+    [
+        ("q.ens", "d.ens"),  # mixed label lengths
+        ("d.ens", "d.ens"),
+        ("pure.ens", "q.ens"),  # a one-label factor
+        ("q3.ens", "q.ens"),  # labels wider than ceil(log2 dim)
+    ],
+    ids=lambda names: "-".join(n.removesuffix(".ens") for n in names),
+)
+def test_ineq_product_mode_on_any_unambiguous_labels(names, workdir, capsys):
+    code, out = ineq_product(workdir, capsys, *names)
+    assert code == 0, out
+    rep = json.loads(out)
+    assert rep["checks"]["paths_agree"] is True
+    assert rep["result"]["value"] == 0.0
+
+
+def test_ineq_product_mode_rejects_ambiguous_labels(workdir, capsys):
+    code, out = ineq_product(workdir, capsys, "a.ens", "b.ens")  # 0+11 = 01+1
+    assert code == 1
+    assert json.loads(out)["error"] == {
+        "type": "DimensionMismatchError",
+        "message": "two concatenations of party labels spell the same string",
+    }
+
+
+def test_ineq_dims_accepts_a_one_label_party(workdir, capsys):
+    (workdir / "j.ens").write_text("0.5 { 00:1,0 }\n0.5 { 01:1,0 }\n")
+    rep = run_json(capsys, [
+        "ineq", "--spec", "1=1;2=1", "--rho", workdir / "j.ens", "--dims", "1,2",
+    ])
+    assert rep["result"]["value"] == 1.0
+
+
 def test_randrho_deterministic_and_file(workdir, capsys):
     out_ens = workdir / "r.ens"
     rep1 = run_json(

@@ -1,7 +1,10 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qfock import (
     DensityOperator,
@@ -29,7 +32,7 @@ from qfock import (
 )
 from qfock.linalg import DIM_CAP
 
-from helpers import jacobi_eigh
+from helpers import jacobi_eigh, partial_trace_by_widths
 
 RT2 = math.sqrt(2.0)
 
@@ -343,11 +346,94 @@ def test_partial_trace_keep_validation():
     with pytest.raises(DimensionMismatchError):
         partial_trace(rho, [2, 2], [3])
     with pytest.raises(DimensionMismatchError):
-        partial_trace(rho, [2, 3], [1])  # label widths don't match dims
+        partial_trace(rho, [2, 3], [1])  # '00' is not a concatenation of party labels
     # duplicate keep indices collapse to a set
     a = partial_trace(rho, [2, 2], [1, 1])
     b = partial_trace(rho, [2, 2], [1])
     assert a.matrix == pytest.approx(b.matrix)
+
+
+def random_density_on(rng, basis):
+    d = len(basis)
+    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    m = g @ g.conj().T
+    return DensityOperator(basis, (m + m.conj().T) / (2 * np.trace(m).real))
+
+
+def keep_subsets(n):
+    return [
+        list(w) for r in range(1, n + 1) for w in itertools.combinations(range(1, n + 1), r)
+    ]
+
+
+@st.composite
+def sparse_joints(draw):
+    """Fixed-width parties of dimension 2..5 and a subset of their joint labels."""
+    dims = draw(st.lists(st.integers(2, 5), min_size=1, max_size=3))
+    labels = subsystem_labels(dims)
+    picks = draw(st.sets(st.sampled_from(labels), min_size=1))
+    return dims, sorted(picks, key=labels.index)
+
+
+@settings(max_examples=150, deadline=None)
+@given(joint=sparse_joints(), seed=st.integers(0, 2**32 - 1))
+@example(joint=([2, 2], ["00", "11"]), seed=0)  # Bell's basis
+def test_partial_trace_matches_width_slicing_oracle(joint, seed):
+    dims, basis = joint
+    rho = random_density_on(np.random.default_rng(seed), basis)
+    for keep in keep_subsets(len(dims)):
+        want = partial_trace_by_widths(rho, dims, keep)
+        for parties in (dims, [subsystem_labels([d]) for d in dims]):
+            got = partial_trace(rho, parties, keep)
+            assert got.basis == want.basis
+            assert np.array_equal(got.matrix, want.matrix)
+
+
+# Party labels of mixed length whose concatenations are unambiguous:
+# each party's basis is prefix-free, or has a single label.
+MIXED_BASES = [("0", "1"), ("0", "10", "11"), ("1", "01", "000", "001"), ("0",), ("00", "01")]
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_marginals_of_mixed_length_products_are_the_factors(n):
+    rng = np.random.default_rng(17)
+    for bases in itertools.product(MIXED_BASES, repeat=n):
+        factors = [random_density_on(rng, b) for b in bases]
+        joint = factors[0]
+        for f in factors[1:]:
+            joint = tensor_product(joint, f)
+        for i, f in enumerate(factors, start=1):
+            marginal = partial_trace(joint, bases, [i])
+            assert marginal.basis == f.basis
+            assert np.allclose(marginal.matrix, f.matrix, rtol=0, atol=1e-12)
+        pair = partial_trace(joint, bases, [1, 2])
+        assert pair.basis == tensor_product(factors[0], factors[1]).basis
+
+
+AMBIGUOUS = [("0", "01"), ("1", "11")]  # 0+11 = 01+1 = 011
+
+
+def test_ambiguous_concatenation_is_an_error():
+    a, b = (random_density_on(np.random.default_rng(3), p) for p in AMBIGUOUS)
+    with pytest.raises(DimensionMismatchError, match="spell the same string") as by_product:
+        tensor_product(a, b)
+    joint = DensityOperator(["00", "01", "011", "0111"], np.eye(4) / 4)
+    with pytest.raises(DimensionMismatchError) as by_trace:
+        partial_trace(joint, AMBIGUOUS, [1])
+    assert str(by_trace.value) == str(by_product.value)
+    assert "fixed-width" not in str(by_product.value)
+
+
+def test_every_party_has_at_least_one_label():
+    rho = DensityOperator(subsystem_labels([1, 2]), np.diag([0.25, 0.75]))
+    assert rho.basis == ("00", "01")
+    red = partial_trace(rho, [1, 2], [2])
+    assert red.basis == ("0", "1")
+    assert np.array_equal(red.matrix, rho.matrix)
+    assert partial_trace(rho, [1, 2], [1]).basis == ("0",)
+    for empty in (0, -1, ()):
+        with pytest.raises(DimensionMismatchError, match="at least one label"):
+            partial_trace(rho, [empty, 2], [2])
 
 
 def random_joint(rng, dims):
