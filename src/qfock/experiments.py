@@ -19,8 +19,8 @@ self-contained, checkable report:
 * ``inequality_check``: evaluate a linear entropy expression over
   subsystem marginals, either on an explicit joint state or on a
   product state where additivity makes every marginal entropy a sum.
-  Party labels may have any lengths whose concatenations are
-  unambiguous; an int party stands for fixed-width binary labels.
+  Parties may have labels of any lengths if every kept set of them
+  concatenates unambiguously; an int party means fixed-width labels.
 """
 
 from __future__ import annotations

@@ -293,13 +293,14 @@ def partial_trace(
     of ``subsystem_labels``; parties are numbered from 1.  Every label of
     ``rho.basis`` must be a concatenation of one label per party, and no
     two concatenations may spell the same string.  The kept labels are
-    concatenated the same way.
+    concatenated the same way, so the kept parties must concatenate
+    unambiguously too; prefix-free party bases always do.
     """
+    dims = [max(int(p), 0) if isinstance(p, (int, np.integer)) else len(p) for p in parties]
+    full_dim = math.prod(dims)
+    _check_dim(full_dim, "joint dimension")  # before any label is built
     bases = [_party_basis(p) for p in parties]
     n = len(bases)
-    dims = [len(b) for b in bases]
-    full_dim = math.prod(dims)
-    _check_dim(full_dim, "joint dimension")
     kept = sorted(set(int(k) for k in keep))
     if not kept or kept[0] < 1 or kept[-1] > n:
         raise DimensionMismatchError(
@@ -324,9 +325,8 @@ def partial_trace(
     out_sub = "".join(row_sub[i - 1] for i in kept) + "".join(col_sub[i - 1] for i in kept)
     contracted = np.einsum("".join(row_sub) + "".join(col_sub) + "->" + out_sub, tensor)
 
-    out_dim = math.prod(dims[i - 1] for i in kept)
-    out = contracted.reshape(out_dim, out_dim)
-    return DensityOperator(tuple(_concat_index([bases[i - 1] for i in kept])), out)
+    out_basis = tuple(_concat_index([bases[i - 1] for i in kept]))
+    return DensityOperator(out_basis, contracted.reshape(len(out_basis), -1))
 
 
 # --- ensemble text format ----------------------------------------------------

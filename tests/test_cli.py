@@ -367,6 +367,20 @@ def test_ineq_product_mode_rejects_ambiguous_labels(workdir, capsys):
     }
 
 
+def test_ineq_product_mode_rejects_an_ambiguous_marginal(workdir, capsys):
+    for name, text in FACTORS.items():
+        (workdir / name).write_text(text)
+    argv = ["ineq", "--spec", "1,3=1", "--mode", "product"]
+    for name in ("a.ens", "pure.ens", "b.ens"):  # the product is unambiguous
+        argv += ["--factor", workdir / name]
+    code, out = run(capsys, argv)  # the marginal on 1,3 is not: 0+11 = 01+1
+    assert code == 1
+    assert json.loads(out)["error"] == {
+        "type": "DimensionMismatchError",
+        "message": "two concatenations of party labels spell the same string",
+    }
+
+
 def test_ineq_dims_accepts_a_one_label_party(workdir, capsys):
     (workdir / "j.ens").write_text("0.5 { 00:1,0 }\n0.5 { 01:1,0 }\n")
     rep = run_json(capsys, [
@@ -508,6 +522,19 @@ def test_partial_trace_over_the_dimension_cap_is_a_domain_error(workdir, capsys)
     ])
     assert code == 1
     assert json.loads(out)["error"]["type"] == "DimensionCapExceededError"
+
+
+def test_ineq_dims_entry_over_the_cap_is_a_domain_error(workdir, capsys):
+    (workdir / "bell.ens").write_text("0.5 { 00:1,0 }\n0.5 { 11:1,0 }\n")
+    code, out = run(capsys, [
+        "ineq", "--spec", "1=1", "--rho", workdir / "bell.ens",
+        "--dims", "4000000000,2",
+    ])
+    assert code == 1
+    assert json.loads(out)["error"] == {
+        "type": "DimensionCapExceededError",
+        "message": "joint dimension 8000000000 exceeds the cap 4096",
+    }
 
 
 @pytest.fixture()

@@ -424,6 +424,29 @@ def test_ambiguous_concatenation_is_an_error():
     assert "fixed-width" not in str(by_product.value)
 
 
+def test_a_marginal_can_be_ambiguous_where_the_joint_is_not():
+    parties = [("0", "01"), ("0",), ("1", "11")]
+    factors = [random_density_on(np.random.default_rng(5), p) for p in parties]
+    joint = tensor_product(tensor_product(factors[0], factors[1]), factors[2])
+    assert joint.basis == ("001", "0011", "0101", "01011")
+    for keep in ([1], [2], [3], [1, 2], [2, 3], [1, 2, 3]):
+        assert partial_trace(joint, parties, keep).dim == math.prod(
+            len(parties[i - 1]) for i in keep
+        )
+    with pytest.raises(DimensionMismatchError, match="spell the same string"):
+        partial_trace(joint, parties, [1, 3])  # 0+11 = 01+1
+
+
+def test_partial_trace_checks_the_cap_before_building_labels():
+    rho = DensityOperator(["00", "11"], np.eye(2) / 2)
+    for parties in ([4_000_000_000, 2], [("0", "1"), 10**18]):
+        joint = math.prod(p if isinstance(p, int) else len(p) for p in parties)
+        with pytest.raises(DimensionCapExceededError, match=f"joint dimension {joint} "):
+            partial_trace(rho, parties, [1])
+    with pytest.raises(DimensionMismatchError, match="at least one label"):
+        partial_trace(rho, [-5000, -5000], [1])
+
+
 def test_every_party_has_at_least_one_label():
     rho = DensityOperator(subsystem_labels([1, 2]), np.diag([0.25, 0.75]))
     assert rho.basis == ("00", "01")
