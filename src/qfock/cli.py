@@ -16,14 +16,16 @@ the path as opened; ``fock.read_text`` records them while ``main`` runs.
 
 Numeric fields are printed with 9 significant digits and keys are
 sorted, so a rerun with the same inputs and seed is byte-identical.
-JSON is the canonical format; ``--format csv`` is accepted only by the
-sweep-shaped subcommands (``lossy`` and ``multicopy``), whose header is
-the key order of their table rows, and ``--format text`` renders the
-same report as flat ``key = value`` lines.
+JSON is the canonical format, and ``--format text`` renders the same
+report as flat ``key = value`` lines.  ``--format csv`` is offered only
+by the subcommands with a table, ``lossy`` (one row per ``--n``, any
+number of them) and ``multicopy``; the header is the key order of the
+rows.  Every other subcommand takes ``--format json|text``.
 
 Exit codes: 0 success, 1 domain error (structured error record),
 2 usage error, 3 I/O error, 4 malformed input file (including one that
-is not UTF-8).
+is not UTF-8).  A usage error is raised before any file is read or
+written.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ import io
 import json
 import sys
 from collections.abc import Callable, Sequence
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from . import __version__
 from .errors import FormatError, QFockError
@@ -92,9 +94,7 @@ class _UsageError(Exception):
 
 def _canon(value):
     """Clamp floats to 9 significant digits and plain Python types."""
-    if isinstance(value, bool):
-        return value
-    if isinstance(value, (int, str)) or value is None:
+    if isinstance(value, (int, str)) or value is None:  # bool is an int
         return value
     if isinstance(value, float):
         return float(format(value, f".{SIG_DIGITS}g"))
@@ -179,34 +179,94 @@ def _decomposition(est: ComplexityEstimate) -> dict:
     return {format_bits(p): w for p, w in sorted(est.decomposition.items())}
 
 
+def _require_machines(args) -> None:
+    """Refuse a catalog command with no machine, before any file is read."""
+    if not (args.machine or args.identity is not None or args.sd_identity is not None):
+        raise _UsageError("no machines given; use --machine, --identity or --sd-identity")
+
+
 def _build_catalog(args, first: Sequence[Describer] = ()) -> MachineCatalog:
     """Catalog of ``first``, the --machine files, then --identity/--sd-identity."""
-    machines = list(first)
-    for path in args.machine or []:
-        machines.append(read_machine_file(path))
+    machines = [*first, *(read_machine_file(path) for path in args.machine or [])]
     if getattr(args, "identity", None) is not None:
         machines.append(identity_machine(args.identity))
-    if getattr(args, "sd_identity", None) is not None:
+    if args.sd_identity is not None:
         machines.append(self_delimit_machine(identity_machine(args.sd_identity)))
-    if not machines:
-        raise _UsageError("no machines given; use --machine, --identity or --sd-identity")
     return MachineCatalog(machines)
 
 
-# --- subcommand handlers -----------------------------------------------------
-# Each returns (result, checks, csv_rows_or_None).  The report's inputs
-# are the files fock.read_text recorded while the handler ran.
+def _density(path: str):
+    """The density operator of the ensemble file at ``path``."""
+    from .linalg import density_from_ensemble, read_ensemble_file
 
+    return density_from_ensemble(read_ensemble_file(path))
+
+
+def _spectrum_fields(rho, dec) -> dict:
+    """Dimension, entropy and eigenvalues of ``rho``, decomposed as ``dec``."""
+    from .linalg import entropy_of_spectrum
+
+    return {
+        "dim": rho.dim,
+        "entropy": entropy_of_spectrum(dec.eigenvalues),
+        "eigenvalues": [float(x) for x in dec.eigenvalues],
+    }
+
+
+# --- subcommands ---------------------------------------------------------------
+# Each subcommand is declared once, on its handler: name, help line, options
+# (argparse flags and keywords) and, for the commands with a csv table, the
+# function that reads the table's rows off the result.  A handler returns
+# (result, checks); the report's inputs are the files fock.read_text recorded
+# while it ran.  Usage errors are raised before any file is read or written.
+
+class _Command(NamedTuple):  # not a dataclass: that adds about 1 ms to every start-up
+    handler: Callable[[argparse.Namespace], tuple[dict, dict]]
+    help: str
+    options: tuple[tuple[tuple, dict], ...]
+    table: Callable[[dict], list[dict]] | None
+
+
+_HANDLERS: dict[str, _Command] = {}
+
+
+def _command(name: str, help_text: str, *options, table=None):
+    """Register the decorated handler as subcommand ``name``."""
+
+    def register(handler):
+        _HANDLERS[name] = _Command(handler, help_text, options, table)
+        return handler
+
+    return register
+
+
+def _opt(*flags, **kwargs) -> tuple[tuple, dict]:
+    """One option, as the arguments of ``add_argument``."""
+    return flags, kwargs
+
+
+_STATE = _opt("--state", required=True)
+_RHO = _opt("--rho", required=True)
+_OUT_STATE = _opt("--out-state")
+_P = _opt("--p", required=True)
+_MACHINES = _opt("--machine", action="append")
+_IDENTITY = _opt("--identity", type=int)
+_SD_IDENTITY = _opt("--sd-identity", type=int)
+
+
+@_command("avglen", "average length of a state", _STATE)
 def _cmd_avglen(args):
     state = read_qstring_file(args.state)
-    return ({"average_length": average_length(state), "terms": len(state)}, {}, None)
+    return ({"average_length": average_length(state), "terms": len(state)}, {})
 
 
+@_command("baselen", "base (maximum) length of a state", _STATE)
 def _cmd_baselen(args):
     state = read_qstring_file(args.state)
-    return ({"base_length": base_length(state)}, {}, None)
+    return ({"base_length": base_length(state)}, {})
 
 
+@_command("pair", "self-delimiting pair encoding", _opt("--x"), _opt("--y"), _opt("--decode"))
 def _cmd_pair(args):
     if args.decode is not None:
         if args.x is not None or args.y is not None:
@@ -216,61 +276,43 @@ def _cmd_pair(args):
             x, y = pair_decode(z)
         except ValueError as exc:  # the library's error for a malformed code
             raise _UsageError(f"bad pair encoding {args.decode!r}: {exc}") from exc
-        return ({"x": format_bits(x), "y": format_bits(y)}, {}, None)
+        return ({"x": format_bits(x), "y": format_bits(y)}, {})
     if args.x is None or args.y is None:
         raise _UsageError("need both --x and --y (or --decode)")
     x = _parse_bits_arg(args.x)
     y = _parse_bits_arg(args.y)
     encoded = pair_encode(x, y)
     checks = {"roundtrip": pair_decode(encoded) == (x, y)}
-    return ({"encoded": encoded, "length": len(encoded)}, checks, None)
+    return ({"encoded": encoded, "length": len(encoded)}, checks)
 
 
+@_command("selfdelim", "apply the self-delimiting transform to a state", _STATE, _OUT_STATE)
 def _cmd_selfdelim(args):
     state = read_qstring_file(args.state)
     out = self_delimit(state)
     if args.out_state:
         write_qstring_file(args.out_state, out)
-    lin = average_length(state)
-    lout = average_length(out)
-    return (
-        {
-            "text": dump_qstring(out),
-            "average_length_in": lin,
-            "average_length_out": lout,
-        },
-        {"length_law": abs(lout - (2.0 * lin + 1.0)) <= 1e-9},
-        None,
-    )
+    lin, lout = average_length(state), average_length(out)
+    result = {"text": dump_qstring(out), "average_length_in": lin, "average_length_out": lout}
+    return (result, {"length_law": abs(lout - (2.0 * lin + 1.0)) <= 1e-9})
 
 
+@_command("entropy", "von Neumann entropy of an ensemble's density operator", _RHO)
 def _cmd_entropy(args):
-    from .linalg import (
-        density_from_ensemble,
-        eig_hermitian,
-        entropy_of_spectrum,
-        read_ensemble_file,
-    )
+    from .linalg import eig_hermitian
 
-    rho = density_from_ensemble(read_ensemble_file(args.rho))
-    dec = eig_hermitian(rho)
-    eigs = [float(x) for x in dec.eigenvalues]
-    return (
-        {
-            "entropy": entropy_of_spectrum(dec.eigenvalues),
-            "dim": rho.dim,
-            "eigenvalues": eigs,
-        },
-        {"psd": min(eigs) >= -1e-9},
-        None,
-    )
+    rho = _density(args.rho)
+    result = _spectrum_fields(rho, eig_hermitian(rho))
+    return (result, {"psd": min(result["eigenvalues"]) >= -1e-9})
 
 
+@_command("shannon", "Shannon entropy of a probability vector", _P)
 def _cmd_shannon(args):
     probs = _parse_list(args.p, float, "probability")
-    return ({"entropy": shannon_entropy(probs)}, {}, None)
+    return ({"entropy": shannon_entropy(probs)}, {})
 
 
+@_command("code", "canonical code with lengths ceil(-log2 p)", _P)
 def _cmd_code(args):
     probs = _parse_list(args.p, float, "probability")
     code = shannon_code(probs)
@@ -282,10 +324,10 @@ def _cmd_code(args):
             "kraft_feasible": kraft_sum(len(w) for w in code.table.values()) <= 1.0,
             "sandwich": h - 1e-9 <= e < h + 1.0,
         },
-        None,
     )
 
 
+@_command("kraft", "Kraft sum of codeword lengths", _opt("--lengths", required=True))
 def _cmd_kraft(args):
     lengths = _parse_list(args.lengths, int, "length")
     if not lengths:
@@ -293,15 +335,14 @@ def _cmd_kraft(args):
     if min(lengths) < 0:
         raise _UsageError(f"negative length in {args.lengths!r}")
     total = kraft_sum(lengths)
-    return ({"kraft_sum": total, "count": len(lengths)}, {"feasible": total <= 1.0}, None)
+    return ({"kraft_sum": total, "count": len(lengths)}, {"feasible": total <= 1.0})
 
 
+@_command("sw", "lossless code of a density operator", _RHO)
 def _cmd_sw(args):
-    from .linalg import density_from_ensemble, read_ensemble_file
     from .qcode import sw_report
 
-    rho = density_from_ensemble(read_ensemble_file(args.rho))
-    code, report = sw_report(rho)
+    code, report = sw_report(_density(args.rho))
     return (
         {**_code_fields(code.words), **dataclasses.asdict(report)},
         {
@@ -310,15 +351,14 @@ def _cmd_sw(args):
             <= report.expected_avg_length
             <= report.entropy + 1.0,
         },
-        None,
     )
 
 
+@_command("encode", "encode a state with the lossless code of rho", _RHO, _STATE, _OUT_STATE)
 def _cmd_encode(args):
-    from .linalg import density_from_ensemble, read_ensemble_file
     from .qcode import encode_qstring, sw_lossless_code
 
-    rho = density_from_ensemble(read_ensemble_file(args.rho))
+    rho = _density(args.rho)
     state = read_qstring_file(args.state)
     code = sw_lossless_code(rho)
     encoded = encode_qstring(code, state)
@@ -331,32 +371,36 @@ def _cmd_encode(args):
             "input_average_length": average_length(state),
         },
         {},
-        None,
     )
 
 
+@_command(
+    "lossy", "typical-subspace projection of n encoded copies",
+    _RHO, _opt("--n", required=True), _opt("--delta", type=float, required=True),
+    table=lambda result: result.get("sweep", [result]),
+)
 def _cmd_lossy(args):
-    from .linalg import density_from_ensemble, eig_hermitian, read_ensemble_file
+    from .linalg import eig_hermitian
     from .qcode import lossy_typical_projection
 
-    rho = density_from_ensemble(read_ensemble_file(args.rho))
     ns = _parse_list(args.n, int, "copy-count")
     if not ns:
         raise _UsageError("no copy counts given")
+    rho = _density(args.rho)
     dec = eig_hermitian(rho)
-    rows = []
-    for n in ns:
-        rep = lossy_typical_projection(rho, n, args.delta, dec)
-        rows.append(dataclasses.asdict(rep))
+    rows = [dataclasses.asdict(lossy_typical_projection(rho, n, args.delta, dec)) for n in ns]
     if len(rows) == 1:
-        return (rows[0], {"success_le_one": rows[0]["success"] <= 1.0}, rows)
+        return (rows[0], {"success_le_one": rows[0]["success"] <= 1.0})
     return (
         {"delta": args.delta, "sweep": rows},
         {"all_success_le_one": all(r["success"] <= 1.0 for r in rows)},
-        rows,
     )
 
 
+@_command(
+    "complexity", "description length of a state on one machine",
+    _opt("--machine", required=True), _STATE,
+)
 def _cmd_complexity(args):
     machine = read_machine_file(args.machine)
     state = read_qstring_file(args.state)
@@ -364,11 +408,15 @@ def _cmd_complexity(args):
     return (
         {"value": est.value, "decomposition": _decomposition(est)},
         {"weights_sum_to_one": abs(sum(est.decomposition.values()) - 1.0) <= 1e-6},
-        None,
     )
 
 
+@_command(
+    "universal", "cheapest description over a machine catalog",
+    _MACHINES, _IDENTITY, _SD_IDENTITY, _STATE,
+)
 def _cmd_universal(args):
+    _require_machines(args)
     state = read_qstring_file(args.state)
     est = universal_complexity(_build_catalog(args), state)
     return (
@@ -378,39 +426,51 @@ def _cmd_universal(args):
             "decomposition": _decomposition(est),
         },
         {},
-        None,
     )
 
 
+@_command(
+    "kq", "fidelity-penalized description length", _opt("--programs", required=True), _STATE
+)
 def _cmd_kq(args):
     programs, _ = read_program_table(args.programs)
     state = read_qstring_file(args.state)
     value = fidelity_penalized_complexity(programs, state)
-    return ({"value": value}, {}, None)
+    return ({"value": value}, {})
 
 
+@_command(
+    "incompress", "entropy floor for a family of states",
+    _opt("--state", action="append", required=True), _MACHINES, _IDENTITY, _SD_IDENTITY,
+)
 def _cmd_incompress(args):
     from .experiments import incompressibility_report
 
+    _require_machines(args)
     states = [read_qstring_file(p) for p in args.state]
     result = dataclasses.asdict(incompressibility_report(states, _build_catalog(args)))
     checks = {"bound_respected": result.pop("verified")}
-    return (result, checks, None)
+    return (result, checks)
 
 
+def _multicopy_rows(result: dict) -> list[dict]:
+    """One row per symmetric sector i: its weight and both code lengths."""
+    columns = zip(result["weights"], result["raw_lengths"], result["normalized_lengths"])
+    return [
+        {"i": i, "weight": w, "raw_length": raw, "normalized_length": norm}
+        for i, (w, raw, norm) in enumerate(columns)
+    ]
+
+
+@_command(
+    "multicopy", "weights and code lengths for n copies of a 2-term state",
+    _opt("--alpha2", type=float, required=True), _opt("--n", type=int, required=True),
+    table=_multicopy_rows,
+)
 def _cmd_multicopy(args):
     from .experiments import multicopy_report
 
     rep = multicopy_report(args.alpha2, args.n)
-    rows = [
-        {
-            "i": i,
-            "weight": rep.weights[i],
-            "raw_length": rep.raw_lengths[i],
-            "normalized_length": rep.normalized_lengths[i],
-        }
-        for i in range(rep.n + 1)
-    ]
     return (
         dataclasses.asdict(rep),
         {
@@ -418,10 +478,14 @@ def _cmd_multicopy(args):
             "raw_kraft_feasible": kraft_sum(rep.raw_lengths) <= 1.0 + 1e-12,
             "normalized_not_longer": rep.expected_normalized <= rep.expected_raw + 1e-12,
         },
-        rows,
     )
 
 
+@_command(
+    "nonadd", "nonadditivity witnesses over a block of basis strings",
+    _opt("--mblock", type=int, required=True), _opt("--k", type=float, default=1.0),
+    _SD_IDENTITY,
+)
 def _cmd_nonadd(args):
     from .experiments import nonadditivity_search
 
@@ -434,10 +498,13 @@ def _cmd_nonadd(args):
             "concentrated_gap_exceeds_k": rep.success_concentrated,
             "diluted_gap_exceeds_k": rep.success_diluted,
         },
-        None,
     )
 
 
+@_command(
+    "sandwich", "expected catalog complexity against the entropy",
+    _opt("--ensemble", required=True), _MACHINES, _SD_IDENTITY,
+)
 def _cmd_sandwich(args):
     from .experiments import entropy_sandwich_report
     from .linalg import density_from_ensemble, eig_hermitian, read_ensemble_file
@@ -449,7 +516,7 @@ def _cmd_sandwich(args):
     cat = _build_catalog(args, [machine_from_code(sw_lossless_code(rho, dec))])
     result = dataclasses.asdict(entropy_sandwich_report(ens, cat, dec))
     checks = {"lower": result.pop("lower_ok"), "upper": result.pop("upper_ok")}
-    return (result, checks, None)
+    return (result, checks)
 
 
 def _parse_ineq_spec(text: str, n_parties: int) -> InequalitySpec:
@@ -475,22 +542,26 @@ def _parse_ineq_spec(text: str, n_parties: int) -> InequalitySpec:
         raise _UsageError(str(exc)) from exc
 
 
+@_command(
+    "ineq", "linear entropy expression over subsystem marginals",
+    _opt("--spec", required=True),
+    _opt("--mode", choices=("joint", "product"), default="joint"),
+    _opt("--rho"), _opt("--dims"), _opt("--factor", action="append"),
+)
 def _cmd_ineq(args):
     from .experiments import inequality_check, product_state
-    from .linalg import density_from_ensemble, read_ensemble_file
 
     if args.mode == "joint":
         if args.rho is None or args.dims is None:
             raise _UsageError("joint mode needs --rho and --dims")
         dims = _parse_list(args.dims, int, "dimension")
         spec = _parse_ineq_spec(args.spec, len(dims))
-        rho = density_from_ensemble(read_ensemble_file(args.rho))
-        value = inequality_check(spec, rho, dims, mode="joint")
-        return ({"value": value, "mode": "joint"}, {}, None)
+        value = inequality_check(spec, _density(args.rho), dims, mode="joint")
+        return ({"value": value, "mode": "joint"}, {})
     if not args.factor:
         raise _UsageError("product mode needs at least one --factor")
-    factors = [density_from_ensemble(read_ensemble_file(p)) for p in args.factor]
-    spec = _parse_ineq_spec(args.spec, len(factors))
+    spec = _parse_ineq_spec(args.spec, len(args.factor))
+    factors = [_density(p) for p in args.factor]
     value = inequality_check(spec, factors, mode="product")
     joint_value = inequality_check(
         spec, product_state(factors), [f.basis for f in factors], mode="joint"
@@ -498,23 +569,20 @@ def _cmd_ineq(args):
     return (
         {"value": value, "mode": "product", "joint_value": joint_value},
         {"paths_agree": abs(value - joint_value) <= 1e-9},
-        None,
     )
 
 
+@_command(
+    "randrho", "seeded random density operator as an eigen-ensemble",
+    _opt("--dim", type=int, required=True), _opt("--out-ens"),
+)
 def _cmd_randrho(args):
     # numpy's generator takes only non-negative seeds; other commands
     # merely record --seed, so they take any integer.
     if args.seed < 0:
         raise _UsageError(f"randrho needs a non-negative --seed, got {args.seed}")
     from .experiments import random_density
-    from .linalg import (
-        Ensemble,
-        dump_ensemble,
-        eig_hermitian,
-        entropy_of_spectrum,
-        write_ensemble_file,
-    )
+    from .linalg import Ensemble, dump_ensemble, eig_hermitian, write_ensemble_file
     from .qcode import eigen_ensemble
 
     rho = random_density(args.dim, args.seed)
@@ -522,15 +590,10 @@ def _cmd_randrho(args):
     ens = Ensemble(eigen_ensemble(rho, dec))
     if args.out_ens:
         write_ensemble_file(args.out_ens, ens)
+    result = _spectrum_fields(rho, dec)
     return (
-        {
-            "dim": rho.dim,
-            "entropy": entropy_of_spectrum(dec.eigenvalues),
-            "eigenvalues": [float(x) for x in dec.eigenvalues],
-            "ensemble_text": dump_ensemble(ens),
-        },
-        {"trace_one": abs(sum(float(x) for x in dec.eigenvalues) - 1.0) <= 1e-9},
-        None,
+        {**result, "ensemble_text": dump_ensemble(ens)},
+        {"trace_one": abs(sum(result["eigenvalues"]) - 1.0) <= 1e-9},
     )
 
 
@@ -543,107 +606,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, help_text):
-        p = sub.add_parser(name, help=help_text)
+    for name, command in _HANDLERS.items():
+        p = sub.add_parser(name, help=command.help)
         p.add_argument("--seed", type=int, default=0, help="recorded in the report")
         p.add_argument("--out", default=None, help="write the report to this path")
-        p.add_argument(
-            "--format", choices=("json", "csv", "text"), default="json",
-            help="json (default), text, or csv for sweep tables",
-        )
-        return p
-
-    p = add("avglen", "average length of a state")
-    p.add_argument("--state", required=True)
-    p = add("baselen", "base (maximum) length of a state")
-    p.add_argument("--state", required=True)
-    p = add("pair", "self-delimiting pair encoding")
-    p.add_argument("--x")
-    p.add_argument("--y")
-    p.add_argument("--decode")
-    p = add("selfdelim", "apply the self-delimiting transform to a state")
-    p.add_argument("--state", required=True)
-    p.add_argument("--out-state", default=None)
-    p = add("entropy", "von Neumann entropy of an ensemble's density operator")
-    p.add_argument("--rho", required=True)
-    p = add("shannon", "Shannon entropy of a probability vector")
-    p.add_argument("--p", required=True)
-    p = add("code", "canonical code with lengths ceil(-log2 p)")
-    p.add_argument("--p", required=True)
-    p = add("kraft", "Kraft sum of codeword lengths")
-    p.add_argument("--lengths", required=True)
-    p = add("sw", "lossless code of a density operator")
-    p.add_argument("--rho", required=True)
-    p = add("encode", "encode a state with the lossless code of rho")
-    p.add_argument("--rho", required=True)
-    p.add_argument("--state", required=True)
-    p.add_argument("--out-state", default=None)
-    p = add("lossy", "typical-subspace projection of n encoded copies")
-    p.add_argument("--rho", required=True)
-    p.add_argument("--n", required=True)
-    p.add_argument("--delta", type=float, required=True)
-    p = add("complexity", "description length of a state on one machine")
-    p.add_argument("--machine", required=True)
-    p.add_argument("--state", required=True)
-    p = add("universal", "cheapest description over a machine catalog")
-    p.add_argument("--machine", action="append")
-    p.add_argument("--identity", type=int, default=None)
-    p.add_argument("--sd-identity", type=int, default=None)
-    p.add_argument("--state", required=True)
-    p = add("kq", "fidelity-penalized description length")
-    p.add_argument("--programs", required=True)
-    p.add_argument("--state", required=True)
-    p = add("incompress", "entropy floor for a family of states")
-    p.add_argument("--state", action="append", required=True)
-    p.add_argument("--machine", action="append")
-    p.add_argument("--identity", type=int, default=None)
-    p.add_argument("--sd-identity", type=int, default=None)
-    p = add("multicopy", "weights and code lengths for n copies of a 2-term state")
-    p.add_argument("--alpha2", type=float, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p = add("nonadd", "nonadditivity witnesses over a block of basis strings")
-    p.add_argument("--mblock", type=int, required=True)
-    p.add_argument("--k", type=float, default=1.0)
-    p.add_argument("--sd-identity", type=int, default=None)
-    p = add("sandwich", "expected catalog complexity against the entropy")
-    p.add_argument("--ensemble", required=True)
-    p.add_argument("--machine", action="append")
-    p.add_argument("--sd-identity", type=int, default=None)
-    p = add("ineq", "linear entropy expression over subsystem marginals")
-    p.add_argument("--spec", required=True)
-    p.add_argument("--mode", choices=("joint", "product"), default="joint")
-    p.add_argument("--rho")
-    p.add_argument("--dims")
-    p.add_argument("--factor", action="append")
-    p = add("randrho", "seeded random density operator as an eigen-ensemble")
-    p.add_argument("--dim", type=int, required=True)
-    p.add_argument("--out-ens", default=None)
+        formats, help_text = ("json", "text"), "json (default) or text"
+        if command.table:
+            formats = ("json", "csv", "text")
+            help_text = "json (default), text, or csv for sweep tables"
+        p.add_argument("--format", choices=formats, default="json", help=help_text)
+        for flags, kwargs in command.options:
+            p.add_argument(*flags, **kwargs)
     return parser
-
-
-_HANDLERS = {
-    "avglen": _cmd_avglen,
-    "baselen": _cmd_baselen,
-    "pair": _cmd_pair,
-    "selfdelim": _cmd_selfdelim,
-    "entropy": _cmd_entropy,
-    "shannon": _cmd_shannon,
-    "code": _cmd_code,
-    "kraft": _cmd_kraft,
-    "sw": _cmd_sw,
-    "encode": _cmd_encode,
-    "lossy": _cmd_lossy,
-    "complexity": _cmd_complexity,
-    "universal": _cmd_universal,
-    "kq": _cmd_kq,
-    "incompress": _cmd_incompress,
-    "multicopy": _cmd_multicopy,
-    "nonadd": _cmd_nonadd,
-    "sandwich": _cmd_sandwich,
-    "ineq": _cmd_ineq,
-    "randrho": _cmd_randrho,
-}
 
 
 def _write_output(text: str, out_path: str | None) -> None:
@@ -659,12 +633,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     reads: dict[str, bytes] = {}
     recording = _READS.set(reads)  # fock.read_text records each input here
     try:
-        result, checks, rows = _HANDLERS[args.command](args)
+        command = _HANDLERS[args.command]
+        result, checks = command.handler(args)
         report = _envelope(args.seed, reads, result, checks)
         if args.format == "csv":
-            if rows is None:
-                raise _UsageError(f"{args.command} has no csv table")
-            text = _emit_csv(report, rows)
+            text = _emit_csv(report, command.table(result))
         elif args.format == "text":
             text = _emit_text(report)
         else:

@@ -1,7 +1,9 @@
+import argparse
 import builtins
 import hashlib
 import json
 import os
+from pathlib import Path
 
 import pytest
 
@@ -603,10 +605,93 @@ def test_text_format(workdir, capsys):
     assert out.startswith("tool_version = ")
 
 
-def test_csv_rejected_for_non_sweep(workdir, capsys):
+def refuse_file_access(monkeypatch, workdir):
+    """Make opening any file under ``workdir`` fail the test."""
+    real_open = builtins.open
+
+    def guarded_open(file, *args, **kwargs):
+        path = os.path.abspath(os.fspath(file))
+        assert not path.startswith(str(workdir)), f"opened {path}"
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", guarded_open)
+
+
+# Valid invocations of the subcommands that have no csv table; the ones
+# with --out-state or --out-ens would write a file if they ran.
+NO_TABLE_ARGV = [
+    ["avglen", "--state", "s.qstr"],
+    ["baselen", "--state", "s.qstr"],
+    ["pair", "--x", "110", "--y", "1000"],
+    ["selfdelim", "--state", "s.qstr", "--out-state", "o.qstr"],
+    ["entropy", "--rho", "dyadic.ens"],
+    ["shannon", "--p", "0.9,0.1"],
+    ["code", "--p", "0.5,0.25,0.25"],
+    ["kraft", "--lengths", "1,2,2"],
+    ["sw", "--rho", "dyadic.ens"],
+    ["encode", "--rho", "dyadic.ens", "--state", "s.qstr", "--out-state", "e.qstr"],
+    ["complexity", "--machine", "m.qm", "--state", "s.qstr"],
+    ["universal", "--machine", "m.qm", "--sd-identity", "4", "--state", "s.qstr"],
+    ["kq", "--programs", "m.qm", "--state", "plus.qstr"],
+    ["incompress", "--state", "s.qstr", "--state", "plus.qstr", "--sd-identity", "2"],
+    ["nonadd", "--mblock", "8"],
+    ["sandwich", "--ensemble", "dyadic.ens"],
+    ["ineq", "--spec", "1=1", "--mode", "product", "--factor", "rho09.ens"],
+    ["randrho", "--dim", "4", "--out-ens", "r.ens"],
+]
+
+
+@pytest.mark.parametrize("argv", NO_TABLE_ARGV, ids=lambda argv: argv[0])
+def test_csv_rejected_for_non_sweep(argv, workdir, capsys, monkeypatch):
+    monkeypatch.chdir(workdir)
+    before = sorted(os.listdir(workdir))
+    refuse_file_access(monkeypatch, workdir)
     with pytest.raises(SystemExit) as exc:
-        main(["avglen", "--state", str(workdir / "s.qstr"), "--format", "csv"])
+        main([*argv, "--out", "report.json", "--format", "csv"])
     assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"qfock {argv[0]}: error: argument --format: invalid choice: 'csv'" in err
+    assert sorted(os.listdir(workdir)) == before  # no state, ensemble or report
+
+
+def test_csv_refusal_covers_every_command_without_a_table():
+    from qfock.cli import _HANDLERS
+
+    assert sorted(_HANDLERS) == sorted([a[0] for a in NO_TABLE_ARGV] + ["lossy", "multicopy"])
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["lossy", "--rho", "missing.ens", "--n", "", "--delta", "0.1"],
+         "no copy counts given"),
+        (["lossy", "--rho", "bad.ens", "--n", "x", "--delta", "0.1"],
+         "bad copy-count list 'x': invalid literal for int() with base 10: 'x'"),
+        (["ineq", "--mode", "product", "--spec", "1=1;3=1",
+          "--factor", "rho09.ens", "--factor", "missing.ens"],
+         "subset [3] outside 1..2"),
+        (["ineq", "--spec", "1=1", "--rho", "missing.ens", "--dims", "2,x"],
+         "bad dimension list '2,x': invalid literal for int() with base 10: 'x'"),
+        (["universal", "--state", "missing.qstr"],
+         "no machines given; use --machine, --identity or --sd-identity"),
+        (["incompress", "--state", "missing.qstr"],
+         "no machines given; use --machine, --identity or --sd-identity"),
+        (["randrho", "--dim", "4", "--seed", "-1", "--out-ens", "r.ens"],
+         "randrho needs a non-negative --seed, got -1"),
+    ],
+    ids=["lossy-missing", "lossy-malformed", "ineq-product", "ineq-joint",
+         "universal", "incompress", "randrho"],
+)
+def test_usage_errors_come_before_any_file_is_read(argv, message, workdir, capsys, monkeypatch):
+    (workdir / "bad.ens").write_text("zz 1 0\n")
+    monkeypatch.chdir(workdir)
+    before = sorted(os.listdir(workdir))
+    refuse_file_access(monkeypatch, workdir)
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--out", "report.json"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == f"qfock: usage error: {message}\n"
+    assert sorted(os.listdir(workdir)) == before
 
 
 def test_exit_1_domain_error(workdir, capsys):
@@ -672,6 +757,26 @@ def test_help_for_every_subcommand(capsys):
             main([name, "--help"])
         assert exc.value.code == 0
         assert name in capsys.readouterr().out
+
+
+def test_readme_lists_the_subcommands_and_their_formats():
+    from qfock.cli import _HANDLERS, build_parser
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```", 2)[1]
+    assert block.split() == list(_HANDLERS)
+
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    formats = {
+        name: next(a for a in p._actions if a.dest == "format").choices
+        for name, p in sub.choices.items()
+    }
+    assert list(formats) == list(_HANDLERS)
+    assert [name for name, choices in formats.items() if "csv" in choices] == [
+        "lossy", "multicopy",
+    ]
+    assert all(set(choices) >= {"json", "text"} for choices in formats.values())
 
 
 def test_reports_are_deterministic(workdir, capsys):
