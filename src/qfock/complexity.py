@@ -10,6 +10,11 @@ machine is therefore forced:
 
     value = sum_p |<v_p|state>|**2 * len(p)
 
+A table machine indexes its programs by their outputs' basis strings.
+Two outputs overlap only on strings they share, so one pass over that
+index checks orthonormality, and a query reads only the programs listed
+under the state's strings.
+
 :class:`IdentityMachine` needs no table: each term of length <= L is its
 own program, so the value is the average length (``2 * avg + 1`` once
 self-delimited); ``.programs`` materializes the table on request.
@@ -106,49 +111,40 @@ class DescriberMachine:
             raise ValueError("machine has no programs")
         if prefix_flag:
             check_prefix_free(table)
-        self._check_outputs_orthonormal(table)
+        self._check_outputs_orthonormal(table, key_index)
         self._programs = table
         self._prefix_flag = bool(prefix_flag)
         self._key_index = key_index
 
     @staticmethod
-    def _check_outputs_orthonormal(table: dict[str, QString]) -> None:
-        # Fast path: single-term outputs with unit amplitude and distinct
-        # labels are orthonormal by construction.  Machine files can list
-        # many basis-string outputs, so the quadratic Gram check is
-        # reserved for outputs with genuine superpositions.
-        simple_keys: set[str] = set()
-        general: list[tuple[str, QString]] = []
-        for prog, out in table.items():
-            if len(out) == 1:
-                ((bits, amp),) = out.items()
-                if abs(abs(amp) - 1.0) <= ORTHO_TOL:
-                    if bits in simple_keys:
-                        raise NotOrthonormalError(
-                            f"two programs output the basis string {bits!r}"
-                        )
-                    simple_keys.add(bits)
-                    continue
-            general.append((prog, out))
-        for i, (prog_a, a) in enumerate(general):
-            norm = inner_product(a, a).real
-            if abs(norm - 1.0) > ORTHO_TOL:
-                raise NotOrthonormalError(
-                    f"output of program {format_bits(prog_a)!r} has norm {norm!r}"
-                )
-            for bits, amp in a.items():
-                if bits in simple_keys and abs(amp) > ORTHO_TOL:
-                    raise NotOrthonormalError(
-                        f"output of {format_bits(prog_a)!r} overlaps a "
-                        f"basis-string output on {bits!r}"
-                    )
-            for prog_b, b in general[i + 1 :]:
-                ov = inner_product(a, b)
-                if abs(ov) > ORTHO_TOL:
-                    raise NotOrthonormalError(
-                        f"outputs of {format_bits(prog_a)!r} and "
-                        f"{format_bits(prog_b)!r} overlap by {abs(ov):.3e}"
-                    )
+    def _check_outputs_orthonormal(
+        table: dict[str, QString], key_index: dict[str, list[str]]
+    ) -> None:
+        # One pass over the label index sums every Gram entry that can be
+        # nonzero: rows[i][j] holds <v_i|v_j> for i <= j in table order.
+        # The smallest failing (i, j) is the first failure row by row, each
+        # row's diagonal first, as in qcode._gram_failure.
+        progs = list(table)
+        rank = {prog: i for i, prog in enumerate(progs)}
+        rows: list[dict[int, complex]] = [{} for _ in progs]
+        for bits, listed in key_index.items():
+            terms = [(rank[p], table[p].amplitude(bits)) for p in listed]
+            for k, (i, a) in enumerate(terms):
+                a, row = a.conjugate(), rows[i]
+                for j, b in terms[k:]:
+                    row[j] = row.get(j, 0j) + a * b
+        # A squared norm's imaginary part is exactly 0, so |g - 1| is its
+        # distance from 1.
+        bad = [(i, j) for i, row in enumerate(rows) for j, g in row.items()
+               if abs(g - (i == j)) > ORTHO_TOL]
+        if bad:
+            i, j = min(bad)
+            g = rows[i][j]
+            a, b = repr(format_bits(progs[i])), repr(format_bits(progs[j]))
+            raise NotOrthonormalError(
+                f"output of program {a} has norm {g.real!r}" if i == j
+                else f"outputs of {a} and {b} overlap by {abs(g):.3e}"
+            )
 
     @property
     def programs(self) -> dict[str, QString]:

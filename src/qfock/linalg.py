@@ -61,6 +61,13 @@ def _check_dim(dim: int, what: str) -> None:
         raise DimensionCapExceededError(f"{what} {dim} exceeds the cap {DIM_CAP}")
 
 
+def _check_hermitian(m: np.ndarray) -> None:
+    """Reject a square matrix that is not Hermitian within ``HERM_TOL``."""
+    herm_err = float(np.max(np.abs(m - m.conj().T)))
+    if not herm_err <= HERM_TOL:  # negated, so NaN entries fail it
+        raise NotHermitianError(f"Hermiticity violated by {herm_err:.3e}")
+
+
 class Ensemble:
     """A finite mixture of quantum strings with positive weights summing to 1."""
 
@@ -100,7 +107,7 @@ class Ensemble:
 class DensityOperator:
     """A trace-one Hermitian operator over an explicit bitstring basis."""
 
-    __slots__ = ("_basis", "_matrix", "_index")
+    __slots__ = ("_basis", "_matrix")
 
     def __init__(self, basis: Sequence[str], matrix) -> None:
         labels = tuple(check_bitstring(b) for b in basis)
@@ -116,17 +123,13 @@ class DensityOperator:
             )
         if m.shape[0] == 0:
             raise ValueError("dimension must be at least 1")
-        # Negated tests, so NaN entries fail them instead of passing.
-        herm_err = float(np.max(np.abs(m - m.conj().T)))
-        if not herm_err <= HERM_TOL:
-            raise NotHermitianError(f"Hermiticity violated by {herm_err:.3e}")
+        _check_hermitian(m)
         tr = complex(np.trace(m))
-        if not abs(tr - 1.0) <= TRACE_TOL:
+        if not abs(tr - 1.0) <= TRACE_TOL:  # negated, so a NaN trace fails it
             raise ValueError(f"trace is {tr!r}, not 1")
         m.flags.writeable = False
         self._basis = labels
         self._matrix = m
-        self._index = {b: i for i, b in enumerate(labels)}
 
     @property
     def basis(self) -> tuple[str, ...]:
@@ -139,9 +142,6 @@ class DensityOperator:
     @property
     def dim(self) -> int:
         return len(self._basis)
-
-    def index_of(self, bits: str) -> int:
-        return self._index[bits]
 
     def __repr__(self) -> str:
         return f"DensityOperator(dim={self.dim})"
@@ -201,12 +201,13 @@ def eig_hermitian(rho: DensityOperator | np.ndarray) -> SpectralDecomposition:
     are ordered by the position of their pivots, so neither the phases
     nor the order of ties depend on the LAPACK build.
     """
-    m = rho.matrix if isinstance(rho, DensityOperator) else np.asarray(rho, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"matrix must be square, got shape {m.shape}")
-    herm_err = float(np.max(np.abs(m - m.conj().T)))
-    if not herm_err <= HERM_TOL:
-        raise NotHermitianError(f"Hermiticity violated by {herm_err:.3e}")
+    if isinstance(rho, DensityOperator):
+        m = rho.matrix  # checked when the operator was built, and read-only since
+    else:
+        m = np.asarray(rho, dtype=complex)
+        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+            raise ValueError(f"matrix must be square, got shape {m.shape}")
+        _check_hermitian(m)
     vals, vecs = np.linalg.eigh(m)
     mags = np.abs(vecs)
     pivot = np.argmax(mags >= mags.max(axis=0) - PHASE_TIE_TOL, axis=0)
@@ -254,16 +255,22 @@ def _party_basis(party: int | Sequence[str]) -> tuple[str, ...]:
     return labels
 
 
-def _concat_index(bases: Sequence[Sequence[str]]) -> dict[str, int]:
+def _concat_index(
+    bases: Sequence[Sequence[str]], order: Sequence[int] | None = None
+) -> dict[str, int]:
     """Joint label -> row-major index over the concatenations of ``bases``.
 
-    Two concatenations that spell the same string raise, so every joint
-    label splits into party labels in exactly one way.
+    The index takes the parties in ``order`` (0-based positions, most
+    significant first; as listed by default).  Two concatenations that
+    spell the same string raise, so every joint label splits into party
+    labels in exactly one way.
     """
+    stride, step = {}, 1
+    for p in reversed(range(len(bases)) if order is None else order):
+        stride[p], step = step, step * len(bases[p])
     index = {"": 0}
-    for basis in bases:
-        n = len(basis)
-        index = {j + b: i * n + k for j, i in index.items() for k, b in enumerate(basis)}
+    for p, basis in enumerate(bases):
+        index = {j + b: i + k * stride[p] for j, i in index.items() for k, b in enumerate(basis)}
     if len(index) != math.prod(len(b) for b in bases):
         raise DimensionMismatchError(
             "two concatenations of party labels spell the same string"
@@ -306,7 +313,12 @@ def partial_trace(
         raise DimensionMismatchError(
             f"keep must be a non-empty subset of 1..{n}, got {kept}"
         )
-    index = _concat_index(bases)
+    # Row-major over the kept parties, then the traced ones: a label sits
+    # at kept_index * d_traced + traced_index, one traced axis for einsum.
+    traced = sorted(set(range(1, n + 1)).difference(kept))
+    index = _concat_index(bases, [i - 1 for i in kept + traced])
+    d_kept = math.prod(dims[i - 1] for i in kept)
+    d_traced = full_dim // d_kept
     try:
         rows = [index[b] for b in rho.basis]
     except KeyError as exc:
@@ -315,18 +327,9 @@ def partial_trace(
         ) from None
     full = np.zeros((full_dim, full_dim), dtype=complex)
     full[np.ix_(rows, rows)] = rho.matrix
-    tensor = full.reshape(tuple(dims) * 2)
-
-    # one letter per row axis; traced subsystems reuse it on the col axis
-    keep_set = set(kept)
-    letters = iter("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ")
-    row_sub = [next(letters) for _ in range(n)]
-    col_sub = [row_sub[i] if (i + 1) not in keep_set else next(letters) for i in range(n)]
-    out_sub = "".join(row_sub[i - 1] for i in kept) + "".join(col_sub[i - 1] for i in kept)
-    contracted = np.einsum("".join(row_sub) + "".join(col_sub) + "->" + out_sub, tensor)
-
+    contracted = np.einsum("atbt->ab", full.reshape(d_kept, d_traced, d_kept, d_traced))
     out_basis = tuple(_concat_index([bases[i - 1] for i in kept]))
-    return DensityOperator(out_basis, contracted.reshape(len(out_basis), -1))
+    return DensityOperator(out_basis, contracted)
 
 
 # --- ensemble text format ----------------------------------------------------

@@ -7,6 +7,7 @@ import numpy as np
 
 from qfock import QString, delimit_bits, inner_product, make_qstring
 from qfock.complexity import DescriberMachine
+from qfock.fock import format_bits
 
 
 def random_unitary(rng, dim):
@@ -93,25 +94,80 @@ def kraft_by_fractions(lengths):
     return total
 
 
-def pairwise_gram_failure(states, tol=1e-8, *, norms=True):
+def pairwise_gram_failure(states, tol=1e-8, *, norms=True, programs=None):
     """First failure of a pairwise ``inner_product`` check, or None.
 
     The loop ``qcode`` ran before its Gram matrix: for each member i in
     order, its squared norm (with ``norms``), then its overlap with every
     later member.  The message is the one ``CondensableCode`` raises with
     ``norms`` and the one ``kraft_condensable_check`` raises without.
+    With ``programs`` (one per state, in table order) it is the one a
+    ``DescriberMachine`` with those outputs raises, which names programs.
     """
     for i, a in enumerate(states):
         if norms:
             norm = inner_product(a, a).real
             if abs(norm - 1.0) > tol:
+                if programs is not None:
+                    return f"output of program {format_bits(programs[i])!r} has norm {norm!r}"
                 return f"member {i} has squared norm {norm!r}"
         for j in range(i + 1, len(states)):
             ov = abs(inner_product(a, states[j]))
             if ov > tol:
+                if programs is not None:
+                    return (f"outputs of {format_bits(programs[i])!r} and "
+                            f"{format_bits(programs[j])!r} overlap by {ov:.3e}")
                 word = "members" if norms else "states"
                 return f"{word} {i} and {j} overlap by {ov:.3e}"
     return None
+
+
+# Labels of mixed length for the Gram-check families below.
+LABEL_POOL = ["", "0", "1", "00", "01", "10", "11", "010", "111", "0110"]
+
+
+def unnormalized(terms):
+    """A QString holding ``terms`` as given, past the constructor's norm check."""
+    state = QString.__new__(QString)
+    state._terms = dict(terms)
+    return state
+
+
+def off_tolerance(rng, above):
+    """A step clearly above, or clearly below, the 1e-8 Gram tolerance."""
+    return 10.0 ** (rng.uniform(-7, -4) if above else rng.uniform(-13, -10))
+
+
+def tilted_columns(rng, dim, tilts):
+    """Columns of a random unitary over ``dim`` labels of ``LABEL_POOL``.
+
+    Each ``(a, b, above)`` in ``tilts`` adds ``off_tolerance`` times member
+    a to member b (indices wrap; a == b is skipped), so their overlap ends
+    clearly above or below the tolerance.
+    """
+    labels = [LABEL_POOL[i] for i in rng.permutation(len(LABEL_POOL))[:dim]]
+    size = int(rng.integers(1, dim + 1))
+    u = random_unitary(rng, dim)
+    members = [dict(zip(labels, u[:, k])) for k in range(size)]
+    for a, b, above in tilts:
+        a, b = a % size, b % size
+        if a == b:
+            continue
+        eps = off_tolerance(rng, above)
+        for bits, amp in members[a].items():
+            members[b][bits] = members[b].get(bits, 0j) + eps * amp
+    return [QString(m, normalize=True) for m in members]
+
+
+def stretch_norm(rng, state, above):
+    """``state`` with its squared norm moved off 1 by ``off_tolerance``."""
+    eps = off_tolerance(rng, above)
+    return unnormalized({bits: amp * math.sqrt(1.0 + eps) for bits, amp in state.items()})
+
+
+def culprit(message):
+    """A Gram-check failure message without its number: what failed."""
+    return message.split(" overlap by ")[0].split(" has ")[0]
 
 
 def binomial_tail_success(p, n, budget):

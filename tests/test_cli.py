@@ -391,6 +391,24 @@ def test_ineq_dims_accepts_a_one_label_party(workdir, capsys):
     assert rep["result"]["value"] == 1.0
 
 
+@pytest.mark.parametrize("left,right,spec", [
+    (26, 0, ",".join(map(str, range(1, 29))) + "=1"),
+    (20, 20, ",".join(map(str, range(1, 43))) + "=1;21=1"),
+], ids=["past-52-einsum-letters", "past-64-ndarray-axes"])
+def test_ineq_dims_with_many_one_label_parties(left, right, spec, workdir, capsys):
+    # A Bell pair padded by one-label parties: the mixed pair alone, or
+    # the pure one in the middle, whose full entropy is 0 and marginal 1.
+    a, b, amp = "0" * left, "0" * right, "0.70710678118654752"
+    if right:
+        text = f"1.0 {{ {a}00{b}:{amp},0 ; {a}11{b}:{amp},0 }}\n"
+    else:
+        text = f"0.5 {{ {a}00:1,0 }}\n0.5 {{ {a}11:1,0 }}\n"
+    (workdir / "pad.ens").write_text(text)
+    dims = ",".join(["1"] * left + ["2", "2"] + ["1"] * right)
+    rep = run_json(capsys, ["ineq", "--spec", spec, "--rho", workdir / "pad.ens", "--dims", dims])
+    assert rep["result"]["value"] == pytest.approx(1.0, abs=1e-12)
+
+
 def test_randrho_deterministic_and_file(workdir, capsys):
     out_ens = workdir / "r.ens"
     rep1 = run_json(

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qfock.complexity
+import qfock.fock
 
 from qfock import (
     CapExceededError,
@@ -31,8 +32,10 @@ from qfock import (
     machine_complexity,
     machine_from_code,
     min_description_length,
+    random_density,
     read_machine_file,
     self_delimit_machine,
+    sw_lossless_code,
     universal_complexity,
     write_machine_file,
 )
@@ -43,7 +46,16 @@ from qfock.complexity import (
     load_program_table,
 )
 
-from helpers import identity_table, random_qstring
+from helpers import (
+    LABEL_POOL,
+    culprit,
+    identity_table,
+    pairwise_gram_failure,
+    random_qstring,
+    stretch_norm,
+    tilted_columns,
+    unnormalized,
+)
 
 RT2 = math.sqrt(2.0)
 
@@ -84,12 +96,12 @@ class TestDescriberMachine:
         assert not m.prefix_flag
 
     def test_outputs_must_be_orthonormal(self):
-        with pytest.raises(NotOrthonormalError):
+        with pytest.raises(NotOrthonormalError, match=r"^outputs of '0' and '1' overlap by 6\.000e-01$"):
             DescriberMachine(
                 {"0": basis_state("0"), "1": QString({"0": 0.6, "1": 0.8})},
                 prefix_flag=True,
             )
-        with pytest.raises(NotOrthonormalError):
+        with pytest.raises(NotOrthonormalError, match=r"^outputs of '0' and '1' overlap by 1\.000e\+00$"):
             DescriberMachine(
                 {"0": basis_state("0"), "1": basis_state("0")}, prefix_flag=True
             )
@@ -113,6 +125,66 @@ def test_machine_complexity_orthogonal_superposed_outputs():
     # |0> = (plus + minus)/sqrt(2): weights 1/2 on each program
     est = machine_complexity(m, basis_state("0"))
     assert est.value == pytest.approx(0.5 * 1 + 0.5 * 2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dim=st.integers(1, len(LABEL_POOL)),
+    tilts=st.lists(
+        st.tuples(st.integers(0, 9), st.integers(0, 9), st.booleans()), max_size=3
+    ),
+    singles=st.lists(st.tuples(st.sampled_from(LABEL_POOL), st.integers(0, 3)), max_size=3),
+    stretch=st.one_of(st.none(), st.tuples(st.integers(0, 12), st.booleans())),
+)
+def test_orthonormality_check_matches_the_pairwise_loop(seed, dim, tilts, singles, stretch):
+    # columns of a random unitary over mixed-length labels, some tilted
+    # toward each other by clearly more or clearly less than the 1e-8
+    # tolerance, single-term outputs (which may collide with any output)
+    # placed anywhere in the table, and perhaps one stretched norm
+    rng = np.random.default_rng(seed)
+    outputs = tilted_columns(rng, dim, tilts)
+    for bits, phase in singles:
+        outputs.insert(int(rng.integers(len(outputs) + 1)), QString({bits: 1j**phase}))
+    if stretch is not None:
+        k = stretch[0] % len(outputs)
+        outputs[k] = stretch_norm(rng, outputs[k], stretch[1])
+    pool = list(all_bitstrings(4))
+    programs = [pool[i] for i in rng.permutation(len(pool))[: len(outputs)]]
+    want = pairwise_gram_failure(outputs, programs=programs)
+    if want is None:
+        DescriberMachine(dict(zip(programs, outputs)), prefix_flag=False)
+    else:
+        with pytest.raises(NotOrthonormalError) as exc:
+            DescriberMachine(dict(zip(programs, outputs)), prefix_flag=False)
+        assert culprit(str(exc.value)) == culprit(want)
+
+
+def test_orthonormality_check_reports_the_first_failure_row_by_row():
+    tilted = QString({"00": 1.0, "0": 1e-6}, normalize=True)
+    long = unnormalized({"1": math.sqrt(1.0 + 1e-6)})
+    # row '0' (its overlap with '11') comes before row '10' (its norm)
+    table = {"0": basis_state("0"), "10": long, "11": tilted}
+    with pytest.raises(NotOrthonormalError, match="^outputs of '0' and '11' overlap by 1.000e-06"):
+        DescriberMachine(table, prefix_flag=True)
+    # within row '10', its norm comes before its overlap with '110'
+    table = {"0": basis_state("11"), "10": long, "110": basis_state("1"), "111": tilted}
+    with pytest.raises(NotOrthonormalError, match="^output of program '10' has norm 1.000001"):
+        DescriberMachine(table, prefix_flag=True)
+
+
+def test_building_a_machine_takes_no_inner_products(monkeypatch):
+    code = sw_lossless_code(random_density(32, seed=5))
+    plus = QString({"0": 1 / RT2, "1": 1 / RT2})
+
+    def refuse(a, b):
+        raise AssertionError("inner_product called")
+
+    monkeypatch.setattr(qfock.fock, "inner_product", refuse)
+    monkeypatch.setattr(qfock.complexity, "inner_product", refuse)
+    assert len(machine_from_code(code).programs) == 32
+    with pytest.raises(NotOrthonormalError, match="^outputs of '0' and '1' overlap"):
+        DescriberMachine({"0": plus, "1": basis_state("1")}, prefix_flag=True)
 
 
 def test_machine_complexity_matches_direct_scan():

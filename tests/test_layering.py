@@ -27,6 +27,13 @@ FILES = {
     "s.qstr": "0 0.6 0.0\n11 0.8 0.0\n",
     "plus.qstr": f"0 {RT2} 0.0\n1 {RT2} 0.0\n",
     "m.qm": "prefix: true\n0 -> { 0:1,0 }\n10 -> { 11:1,0 }\n",
+    # superposed outputs, so the orthonormality check sums overlaps
+    "sup.qm": (
+        "prefix: true\n"
+        f"0 -> {{ 0:{RT2},0 ; 1:{RT2},0 }}\n"
+        f"10 -> {{ 0:{RT2},0 ; 1:-{RT2},0 }}\n"
+        "11 -> { 11:1,0 }\n"
+    ),
 }
 
 # The criterion-10 invocations that need no linear algebra.
@@ -44,6 +51,9 @@ NUMPY_FREE_INVOCATIONS = [
     ["multicopy", "--alpha2", "0.5", "--n", "7"],
     ["multicopy", "--alpha2", "0.3", "--n", "5", "--format", "csv"],
     ["nonadd", "--mblock", "4"],
+    # the same two catalog commands on a machine with superposed outputs
+    ["complexity", "--machine", "sup.qm", "--state", "plus.qstr"],
+    ["universal", "--machine", "sup.qm", "--sd-identity", "4", "--state", "s.qstr"],
 ]
 
 # sorted(qfock.__all__) before its linalg, qcode and experiments names

@@ -64,10 +64,6 @@ class TestDensityOperator:
         with pytest.raises(ValueError):
             rho.matrix[0, 0] = 9.0
 
-    def test_index_of(self):
-        rho = dm(np.eye(2) / 2, labels=["0", "1"])
-        assert rho.index_of("1") == 1
-
 
 class TestEnsemble:
     def test_probability_checks(self):
@@ -319,6 +315,26 @@ def test_partial_trace_bell():
         red = partial_trace(rho, [2, 2], keep)
         assert red.matrix == pytest.approx(np.eye(2) / 2)
         assert red.basis == ("0", "1")
+
+
+def test_partial_trace_of_forty_one_label_parties():
+    # More parties than einsum has letters (52) and than an ndarray has
+    # axes (64 for the joint tensor): only one traced axis is contracted.
+    pad = "0" * 20
+    s = QString({pad + "00" + pad: 1 / RT2, pad + "11" + pad: 1 / RT2})
+    rho = density_from_ensemble([(1.0, s)])
+    parties = [1] * 20 + [2, 2] + [1] * 20
+    want = partial_trace(bell_density(), [2, 2], [1, 2])
+    red = partial_trace(rho, parties, [21, 22])
+    assert red.basis == want.basis == ("00", "01", "10", "11")
+    assert np.array_equal(red.matrix, want.matrix)
+    assert red.matrix == pytest.approx(np.outer([1, 0, 0, 1], [1, 0, 0, 1]) / 2)
+    whole = partial_trace(rho, parties, range(1, 43))
+    assert whole.basis == tuple(pad + b + pad for b in want.basis)
+    assert np.array_equal(whole.matrix, want.matrix)
+    half = partial_trace(rho, parties, [1, 22, 42])
+    assert half.basis == ("000", "010")
+    assert half.matrix == pytest.approx(np.eye(2) / 2)
 
 
 def test_partial_trace_ghz_two_party_marginal():

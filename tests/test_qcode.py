@@ -33,11 +33,16 @@ from qfock.linalg import eig_hermitian
 from qfock.qcode import EIG_FLOOR, _type_classes
 
 from helpers import (
+    LABEL_POOL,
     binomial_tail_success,
+    culprit,
     lossy_by_compositions,
     pairwise_gram_failure,
     random_orthonormal_family,
     random_unitary,
+    stretch_norm,
+    tilted_columns,
+    unnormalized,
 )
 
 RT2 = math.sqrt(2.0)
@@ -189,21 +194,6 @@ def test_condensable_kraft_identity_rotation_is_tight():
 
 # --- Gram-matrix checks against the pairwise loop ----------------------------------
 
-LABEL_POOL = ["", "0", "1", "00", "01", "10", "11", "010", "111", "0110"]
-
-
-def _unnormalized(terms):
-    """A QString holding ``terms`` as given, past the constructor's norm check."""
-    state = QString.__new__(QString)
-    state._terms = dict(terms)
-    return state
-
-
-def _culprit(message):
-    """A failure message without its number: which member or pair failed."""
-    return message.split(" overlap by ")[0].split(" has squared norm ")[0]
-
-
 def _check_against_oracle(states):
     words = canonical_prefix_code([(len(states) - 1).bit_length()] * len(states))
     want = pairwise_gram_failure(states)
@@ -212,14 +202,14 @@ def _check_against_oracle(states):
     else:
         with pytest.raises(NotOrthonormalError) as exc:
             build_condensable_code(states, words)
-        assert _culprit(str(exc.value)) == _culprit(want)
+        assert culprit(str(exc.value)) == culprit(want)
     want = pairwise_gram_failure(states, norms=False)
     if want is None:
         kraft_condensable_check(states)
     else:
         with pytest.raises(NotOrthogonalError) as exc:
             kraft_condensable_check(states)
-        assert _culprit(str(exc.value)) == _culprit(want)
+        assert culprit(str(exc.value)) == culprit(want)
 
 
 @settings(max_examples=200, deadline=None)
@@ -236,30 +226,16 @@ def test_gram_checks_match_the_pairwise_loop(seed, dim, tilts, stretch):
     # tilted toward each other (overlap) or stretched (squared norm) by
     # clearly more or clearly less than the 1e-8 tolerance
     rng = np.random.default_rng(seed)
-    labels = [LABEL_POOL[i] for i in rng.permutation(len(LABEL_POOL))[:dim]]
-    size = int(rng.integers(1, dim + 1))
-    u = random_unitary(rng, dim)
-    members = [dict(zip(labels, u[:, k])) for k in range(size)]
-    for a, b, above in tilts:
-        a, b = a % size, b % size
-        if a == b:
-            continue
-        eps = 10.0 ** (rng.uniform(-7, -4) if above else rng.uniform(-13, -10))
-        for bits, amp in members[a].items():
-            members[b][bits] = members[b].get(bits, 0j) + eps * amp
-    states = [QString(m, normalize=True) for m in members]
+    states = tilted_columns(rng, dim, tilts)
     if stretch is not None:
-        k, above = stretch[0] % size, stretch[1]
-        eps = 10.0 ** (rng.uniform(-7, -4) if above else rng.uniform(-13, -10))
-        states[k] = _unnormalized(
-            {bits: amp * math.sqrt(1.0 + eps) for bits, amp in states[k].items()}
-        )
+        k = stretch[0] % len(states)
+        states[k] = stretch_norm(rng, states[k], stretch[1])
     _check_against_oracle(states)
 
 
 def test_gram_checks_report_the_first_failure_row_by_row():
     tilted = QString({"00": 1.0, "0": 1e-6}, normalize=True)
-    stretched = _unnormalized({"1": math.sqrt(1.0 + 1e-6)})
+    stretched = unnormalized({"1": math.sqrt(1.0 + 1e-6)})
     # (0, 2) comes before member 1's own norm
     with pytest.raises(NotOrthonormalError, match="^members 0 and 2 overlap by"):
         build_condensable_code(
