@@ -5,6 +5,11 @@ of two, so feasibility checks at the ``<= 1`` boundary never wobble.
 Codeword assignment is canonical: symbols are processed shortest length
 first (ties broken by source index) and each receives the
 lexicographically smallest codeword that keeps the table prefix-free.
+
+A :class:`PrefixCode` built from a table checks every codeword, that the
+table is prefix-free, and its Kraft sum.  :func:`canonical_prefix_code`
+checks each length instead; its construction then proves all three, so
+it returns its table through the trusted :meth:`PrefixCode._canonical`.
 """
 
 from __future__ import annotations
@@ -83,6 +88,19 @@ class PrefixCode:
             raise NotPrefixFreeError("Kraft sum exceeds 1")
         self._table = clean
 
+    @classmethod
+    def _canonical(cls, table: dict[int, str]) -> PrefixCode:
+        """The code of a table built by :func:`canonical_prefix_code`.
+
+        Its codewords are bitstrings, prefix-free and Kraft-feasible by
+        construction, so only an empty table is rejected.
+        """
+        if not table:
+            raise ValueError("codeword table is empty")
+        code = cls.__new__(cls)
+        code._table = table
+        return code
+
     @property
     def table(self) -> dict[int, str]:
         return dict(self._table)
@@ -150,6 +168,8 @@ def canonical_prefix_code(lengths: Sequence[int]) -> PrefixCode:
     """Build the canonical prefix code realizing the given lengths.
 
     Raises :class:`NotPrefixFreeError` if the lengths are Kraft-infeasible.
+    Each codeword is the previous one plus one, shifted left to its
+    length, and fits that length, so no codeword extends an earlier one.
     """
     order = sorted(range(len(lengths)), key=lambda i: (lengths[i], i))
     table: dict[int, str] = {}
@@ -164,7 +184,7 @@ def canonical_prefix_code(lengths: Sequence[int]) -> PrefixCode:
         table[i] = format(value, "b").zfill(l) if l else ""
         value += 1
         prev_len = l
-    return PrefixCode(table)
+    return PrefixCode._canonical(table)
 
 
 def _check_distribution(p: Sequence[float], *, floor: float = 0.0) -> list[float]:

@@ -15,6 +15,12 @@ Two outputs overlap only on strings they share, so one pass over that
 index checks orthonormality, and a query reads only the programs listed
 under the state's strings.
 
+Those checks run once, where a table enters: ``DescriberMachine`` and
+the machine file readers check every program, prefix-freeness when the
+machine is flagged prefix, and orthonormality.  :func:`machine_from_code`
+runs none of them again, because the condensable code it views already
+did; it is the one trusted path.
+
 :class:`IdentityMachine` needs no table: each term of length <= L is its
 own program, so the value is the average length (``2 * avg + 1`` once
 self-delimited); ``.programs`` materializes the table on request.
@@ -97,7 +103,6 @@ class DescriberMachine:
     ) -> None:
         pairs = programs.items() if isinstance(programs, Mapping) else programs
         table: dict[str, QString] = {}
-        key_index: dict[str, list[str]] = {}
         for prog, out in pairs:
             check_bitstring(prog)
             if prog in table:
@@ -105,16 +110,30 @@ class DescriberMachine:
             if not isinstance(out, QString):
                 raise TypeError("machine outputs must be QString instances")
             table[prog] = out
-            for bits in out.keys():
-                key_index.setdefault(bits, []).append(prog)
         if not table:
             raise ValueError("machine has no programs")
         if prefix_flag:
             check_prefix_free(table)
+        key_index = _label_index(table)
         self._check_outputs_orthonormal(table, key_index)
         self._programs = table
         self._prefix_flag = bool(prefix_flag)
         self._key_index = key_index
+
+    @classmethod
+    def _from_checked(cls, table: dict[str, QString]) -> DescriberMachine:
+        """The prefix machine of a table already checked as a code.
+
+        For :func:`machine_from_code` only: a ``PrefixCode`` checked the
+        programs and that they are prefix-free, and a ``CondensableCode``
+        checked that the outputs are orthonormal, so none of that runs
+        again.
+        """
+        machine = cls.__new__(cls)
+        machine._programs = table
+        machine._prefix_flag = True
+        machine._key_index = _label_index(table)
+        return machine
 
     @staticmethod
     def _check_outputs_orthonormal(
@@ -166,6 +185,16 @@ class DescriberMachine:
             (prog, abs(inner_product(self._programs[prog], state)) ** 2)
             for prog in sorted(candidates, key=length_lex)
         )
+
+
+def _label_index(table: dict[str, QString]) -> dict[str, list[str]]:
+    """Each output basis string -> the programs whose outputs hold it, in
+    table order."""
+    key_index: dict[str, list[str]] = {}
+    for prog, out in table.items():
+        for bits in out.keys():
+            key_index.setdefault(bits, []).append(prog)
+    return key_index
 
 
 @dataclass(frozen=True, slots=True)
@@ -361,11 +390,19 @@ def self_delimit_machine(machine: Describer) -> Describer:
 
 
 def machine_from_code(code: CondensableCode) -> DescriberMachine:
-    """View a condensable code as the machine decoding its codewords."""
+    """View a condensable code as the machine decoding its codewords.
+
+    The code has already checked everything the machine needs, so the
+    machine is built without a second check.  Its orthonormality test is
+    the code's numpy Gram product; a machine built from the same table by
+    ``DescriberMachine`` sums the entries in another order, and for an
+    overlap within round-off of ``ORTHO_TOL`` the two may disagree.  The
+    code's verdict is the one that holds here.
+    """
     programs = {
         code.words.codeword(k): code.source_basis[k] for k in range(len(code))
     }
-    return DescriberMachine(programs, prefix_flag=True)
+    return DescriberMachine._from_checked(programs)
 
 
 # --- machine text format ----------------------------------------------------

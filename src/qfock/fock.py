@@ -30,6 +30,14 @@ given inline or as a ``.qstr`` path next to the referencing file.
 
 Every file the package reads goes through :func:`read_text`, and every
 file it writes through :func:`write_text`.
+
+Each label is checked once, where it enters: by :class:`QString`, the
+public encoders and decoders, and the text readers.  The label test is
+one ``str.translate`` deletion, so it runs at C speed.  Objects the
+package builds from labels it has already checked skip a second check:
+:meth:`QString._from_checked` serves :func:`self_delimit` here and
+``qcode``'s eigen-ensembles and encoded states, and a sequence is
+checked item by item once, not once per nesting level.
 """
 
 from __future__ import annotations
@@ -61,9 +69,14 @@ SPAN_TOL = 1e-8
 AMP_FLOOR = 1e-12
 
 
+#: ``str.translate`` table deleting ``'0'`` and ``'1'``: a bitstring
+#: translates to the empty string.
+_NOT_BITS = str.maketrans("", "", "01")
+
+
 def is_bitstring(bits: str) -> bool:
     """Whether the string holds only ``'0'``/``'1'`` (the empty string does)."""
-    return not bits.strip("01")
+    return not bits.translate(_NOT_BITS)
 
 
 def check_bitstring(bits: str) -> str:
@@ -101,32 +114,25 @@ class QString:
         *,
         normalize: bool = False,
     ) -> None:
-        if isinstance(terms, Mapping):
-            pairs = terms.items()
-        else:
-            pairs = list(terms)
-        clean: dict[str, complex] = {}
-        for bits, amp in pairs:
-            check_bitstring(bits)
-            if bits in clean:
-                raise DuplicateKeyError(f"duplicate term for bitstring {bits!r}")
-            a = complex(amp)
-            if a != 0:
-                clean[bits] = a
-        if not clean:
-            raise EmptyStateError("state has no nonzero terms")
-        norm2 = sum(abs(a) ** 2 for a in clean.values())
-        # Negated tests, so a NaN norm fails them instead of passing.
-        if normalize:
-            if not 0.0 < norm2 < math.inf:
-                raise NotNormalizedError(f"cannot normalize squared norm {norm2!r}")
-            scale = 1.0 / math.sqrt(norm2)
-            clean = {b: a * scale for b, a in clean.items()}
-        elif not abs(norm2 - 1.0) <= NORM_TOL:
-            raise NotNormalizedError(
-                f"squared norm is {norm2!r}, off by more than {NORM_TOL}"
-            )
-        self._terms = clean
+        self._terms = _unit_terms(terms, normalize, check=True)
+
+    @classmethod
+    def _from_checked(
+        cls,
+        terms: Mapping[str, complex] | Iterable[tuple[str, complex]],
+        *,
+        normalize: bool = False,
+    ) -> QString:
+        """A state over labels that are already checked bitstrings.
+
+        The same as ``QString(terms, normalize=normalize)``, amplitude
+        bits included, without the label checks.  Only for labels taken
+        from a checked object: another state, a density operator's basis
+        or a prefix code's codewords.
+        """
+        state = cls.__new__(cls)
+        state._terms = _unit_terms(terms, normalize, check=False)
+        return state
 
     @property
     def terms(self) -> dict[str, complex]:
@@ -162,6 +168,45 @@ class QString:
             for b, a in sorted(self._terms.items(), key=lambda kv: length_lex(kv[0]))
         )
         return f"QString({{{parts}}})"
+
+
+def _unit_terms(
+    terms: Mapping[str, complex] | Iterable[tuple[str, complex]],
+    normalize: bool,
+    *,
+    check: bool,
+) -> dict[str, complex]:
+    """The nonzero terms of ``terms``, checked for unit norm or rescaled to it.
+
+    With ``check`` each label is checked as a bitstring first.  Raises on a
+    repeated label, on no nonzero term, and on a squared norm off 1 by
+    more than ``NORM_TOL`` (or, with ``normalize``, not positive and
+    finite).
+    """
+    pairs = terms.items() if isinstance(terms, Mapping) else terms
+    clean: dict[str, complex] = {}
+    for bits, amp in pairs:
+        if check:
+            check_bitstring(bits)
+        if bits in clean:
+            raise DuplicateKeyError(f"duplicate term for bitstring {bits!r}")
+        a = complex(amp)
+        if a != 0:
+            clean[bits] = a
+    if not clean:
+        raise EmptyStateError("state has no nonzero terms")
+    norm2 = sum(abs(a) ** 2 for a in clean.values())
+    # Negated tests, so a NaN norm fails them instead of passing.
+    if normalize:
+        if not 0.0 < norm2 < math.inf:
+            raise NotNormalizedError(f"cannot normalize squared norm {norm2!r}")
+        scale = 1.0 / math.sqrt(norm2)
+        clean = {b: a * scale for b, a in clean.items()}
+    elif not abs(norm2 - 1.0) <= NORM_TOL:
+        raise NotNormalizedError(
+            f"squared norm is {norm2!r}, off by more than {NORM_TOL}"
+        )
+    return clean
 
 
 def make_qstring(
@@ -200,7 +245,11 @@ def inner_product(a: QString, b: QString) -> complex:
 
 def delimit_bits(bits: str) -> str:
     """The self-delimiting form ``1^len(bits) 0 bits`` of one string."""
-    check_bitstring(bits)
+    return _delimit(check_bitstring(bits))
+
+
+def _delimit(bits: str) -> str:
+    """:func:`delimit_bits` on a string already checked as a bitstring."""
     if 2 * len(bits) + 1 > LENGTH_CAP:
         raise LengthCapExceededError(
             f"self-delimited length {2 * len(bits) + 1} exceeds cap {LENGTH_CAP}"
@@ -215,7 +264,7 @@ def self_delimit(state: QString) -> QString:
     an isometry on superpositions; the average length transforms exactly
     as ``2 * average_length(state) + 1``.
     """
-    return QString({delimit_bits(b): a for b, a in state.items()})
+    return QString._from_checked({_delimit(b): a for b, a in state.items()})
 
 
 def pair_encode(x: str, y: str) -> str:
@@ -225,12 +274,12 @@ def pair_encode(x: str, y: str) -> str:
     ``x`` and ``y`` needs no marker: ``pair_encode('110', '1000')`` is
     ``'11101101000'``.
     """
-    # Hot path: one strip per argument.  Anything it does not accept
+    # Hot path: one translate per argument.  Anything it does not accept
     # (non-str, stray characters, over the cap) gets the full checks.
     try:
         if (
-            not x.strip("01")
-            and not y.strip("01")
+            not x.translate(_NOT_BITS)
+            and not y.translate(_NOT_BITS)
             and 2 * len(x) + 1 + len(y) <= LENGTH_CAP
         ):
             return "1" * len(x) + "0" + x + y
@@ -246,7 +295,7 @@ def pair_encode(x: str, y: str) -> str:
 def pair_decode(z: str) -> tuple[str, str]:
     """Invert :func:`pair_encode`, recovering ``(x, y)`` exactly."""
     try:
-        plain = not z.strip("01") and len(z) <= LENGTH_CAP
+        plain = not z.translate(_NOT_BITS) and len(z) <= LENGTH_CAP
     except (AttributeError, TypeError):
         plain = False
     if not plain:
@@ -263,27 +312,41 @@ def sequence_encode(strings: Iterable[str]) -> str:
     """Right-nested fold of :func:`pair_encode` over a sequence.
 
     ``[x1, x2, x3]`` becomes ``pair_encode(x1, pair_encode(x2, x3))``;
-    a single-element sequence encodes as the element itself.
+    a single-element sequence encodes as the element itself.  Items are
+    checked once each, last to first, with the length cap checked on the
+    encoding so far after each, as the fold would meet them.
     """
     items = list(strings)
     if not items:
         raise ValueError("cannot encode an empty sequence")
-    acc = check_bitstring(items[-1])
+    size = len(check_bitstring(items[-1]))
     for s in reversed(items[:-1]):
-        acc = pair_encode(s, acc)
-    return acc
+        size += 2 * len(check_bitstring(s)) + 1
+        if size > LENGTH_CAP:
+            raise LengthCapExceededError("encoded pair exceeds the length cap")
+    return "".join(["1" * len(s) + "0" + s for s in items[:-1]] + [items[-1]])
 
 
 def sequence_decode(z: str, count: int) -> list[str]:
-    """Invert :func:`sequence_encode` given the element count."""
+    """Invert :func:`sequence_encode` given the element count.
+
+    ``z`` is checked once; each step then splits one pair off the rest.
+    """
     if count < 1:
         raise ValueError("count must be at least 1")
+    check_bitstring(z)
     out: list[str] = []
-    rest = z
+    start = 0
     for _ in range(count - 1):
-        head, rest = pair_decode(rest)
-        out.append(head)
-    out.append(check_bitstring(rest))
+        mark = z.find("0", start)
+        if mark < 0:
+            raise ValueError("missing delimiter: input is all ones")
+        end = 2 * mark + 1 - start
+        if len(z) < end:
+            raise ValueError("input too short for its announced first component")
+        out.append(z[mark + 1 : end])
+        start = end
+    out.append(z[start:])
     return out
 
 

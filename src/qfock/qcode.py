@@ -162,12 +162,11 @@ def encode_qstring(code: CondensableCode, state: QString) -> QString:
         raise OutOfSpanError(
             f"state leaves the code span; residual {1.0 - captured:.3e}"
         )
-    terms = {
-        code.words.codeword(k): c
-        for k, c in enumerate(coeffs)
-        if abs(c) > AMP_FLOOR
-    }
-    return QString(terms, normalize=True)
+    # Codewords of a checked PrefixCode: distinct, checked bitstrings.
+    return QString._from_checked(
+        ((code.words.codeword(k), c) for k, c in enumerate(coeffs) if abs(c) > AMP_FLOOR),
+        normalize=True,
+    )
 
 
 def eigen_ensemble(
@@ -187,12 +186,11 @@ def eigen_ensemble(
     for k, lam in enumerate(dec.eigenvalues.tolist()):
         if lam < EIG_FLOOR:
             continue
-        terms = {
-            label: amp
-            for label, amp, kept in zip(rho.basis, columns[k], keep[k])
-            if kept
-        }
-        members.append((lam, QString(terms, normalize=True)))
+        # rho.basis holds distinct labels, checked when rho was built.
+        terms = (
+            (label, amp) for label, amp, kept in zip(rho.basis, columns[k], keep[k]) if kept
+        )
+        members.append((lam, QString._from_checked(terms, normalize=True)))
     return members
 
 

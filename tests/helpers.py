@@ -5,9 +5,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from qfock import QString, delimit_bits, inner_product, make_qstring
+from qfock import QString, delimit_bits, inner_product, make_qstring, pair_decode, pair_encode
 from qfock.complexity import DescriberMachine
-from qfock.fock import format_bits
+from qfock.errors import QFockError
+from qfock.fock import check_bitstring, format_bits
 
 
 def random_unitary(rng, dim):
@@ -63,6 +64,49 @@ def identity_table(max_len, prefix_flag):
             bits = format(v, f"0{n}b") if n else ""
             programs[delimit_bits(bits) if prefix_flag else bits] = QString({bits: 1.0})
     return DescriberMachine(programs, prefix_flag=prefix_flag)
+
+
+def sequence_encode_by_pairs(strings):
+    """The per-step fold ``fock.sequence_encode`` replaced.
+
+    One checked ``pair_encode`` per item, last to first, each on the
+    whole encoding so far; its values and errors are the reference.
+    """
+    items = list(strings)
+    if not items:
+        raise ValueError("cannot encode an empty sequence")
+    acc = check_bitstring(items[-1])
+    for s in reversed(items[:-1]):
+        acc = pair_encode(s, acc)
+    return acc
+
+
+def sequence_decode_by_pairs(z, count):
+    """The per-step loop ``fock.sequence_decode`` replaced: one checked
+    ``pair_decode`` per remainder."""
+    if count < 1:
+        raise ValueError("count must be at least 1")
+    out = []
+    rest = z
+    for _ in range(count - 1):
+        head, rest = pair_decode(rest)
+        out.append(head)
+    out.append(check_bitstring(rest))
+    return out
+
+
+def outcome(func, *args, **kwargs):
+    """``("ok", value)``, or ``("raised", type, message)`` for an error a
+    check raises, so two implementations compare by value and error."""
+    try:
+        return ("ok", func(*args, **kwargs))
+    except (TypeError, ValueError, QFockError) as exc:
+        return ("raised", type(exc), str(exc))
+
+
+def amplitude_bits(state):
+    """A state's terms in order, each amplitude as the hex of its parts."""
+    return [(bits, a.real.hex(), a.imag.hex()) for bits, a in state.items()]
 
 
 def prefix_free(words):

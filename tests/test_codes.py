@@ -151,6 +151,25 @@ def test_canonical_assignment_zero_length():
         canonical_prefix_code([0, 5])
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, 12), max_size=20))
+def test_canonical_code_passes_the_full_check(lengths):
+    # The construction skips PrefixCode's checks; the full constructor is
+    # the oracle, and Kraft-infeasible lengths still raise.
+    if not lengths:
+        with pytest.raises(ValueError, match="codeword table is empty"):
+            canonical_prefix_code(lengths)
+    elif kraft_sum_exact(lengths) > 1:
+        with pytest.raises(NotPrefixFreeError, match="Kraft-infeasible"):
+            canonical_prefix_code(lengths)
+    else:
+        code = canonical_prefix_code(lengths)
+        checked = PrefixCode(code.table)
+        assert code == checked
+        assert list(code.table.items()) == list(checked.table.items())
+        assert code.lengths() == dict(enumerate(lengths))
+
+
 def test_shannon_code_dyadic():
     code = shannon_code([0.5, 0.25, 0.25])
     assert code.table == {0: "0", 1: "10", 2: "11"}

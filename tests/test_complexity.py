@@ -10,6 +10,7 @@ import qfock.fock
 
 from qfock import (
     CapExceededError,
+    PrefixCode,
     DuplicateKeyError,
     FormatError,
     NoDescriberError,
@@ -39,6 +40,7 @@ from qfock import (
     universal_complexity,
     write_machine_file,
 )
+from qfock.codes import canonical_prefix_code, kraft_sum_exact
 from qfock.complexity import (
     DescriberMachine,
     IdentityMachine,
@@ -50,7 +52,9 @@ from helpers import (
     LABEL_POOL,
     culprit,
     identity_table,
+    outcome,
     pairwise_gram_failure,
+    random_orthonormal_family,
     random_qstring,
     stretch_norm,
     tilted_columns,
@@ -279,6 +283,52 @@ def test_machine_from_code():
     m = machine_from_code(code)
     assert m.prefix_flag
     assert machine_complexity(m, basis_state("01")).value == 2.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 8), st.booleans())
+def test_trusted_machine_from_code_describes_as_the_checked_machine(seed, size, lossless):
+    # machine_from_code skips the machine's checks; the machine built from
+    # the same table by the checked constructor is the oracle.
+    rng = np.random.default_rng(seed)
+    if lossless:
+        code = sw_lossless_code(random_density(max(size, 2), seed=seed))
+    else:
+        lengths = [int(l) for l in rng.integers(1, 6, size=size)]
+        while kraft_sum_exact(lengths) > 1:
+            lengths = [l + 1 for l in lengths]
+        family = random_orthonormal_family(rng, size, length=int(rng.integers(3, 5)))
+        code = build_condensable_code(family, canonical_prefix_code(lengths))
+    trusted = machine_from_code(code)
+    checked = DescriberMachine(trusted.programs, prefix_flag=True)
+    assert trusted.prefix_flag and list(trusted.programs) == list(checked.programs)
+    basis = code.source_basis
+    coeffs = rng.standard_normal(len(basis)) + 1j * rng.standard_normal(len(basis))
+    inside = {}
+    for c, member in zip(coeffs, basis):
+        for bits, amp in member.items():
+            inside[bits] = inside.get(bits, 0j) + complex(c) * amp
+    states = [*basis, QString(inside, normalize=True), random_qstring(rng, max_len=4)]
+    for state in states:
+        assert outcome(trusted.describe, state) == outcome(checked.describe, state)
+
+
+@pytest.mark.parametrize("steps", [-2, -1, 0, 1, 2])
+def test_machine_from_code_holds_to_the_codes_verdict_at_the_tolerance(steps):
+    # Overlaps a few ulps either side of ORTHO_TOL: a code the Gram check
+    # accepts always views as a machine, with no second check to disagree.
+    eps = qfock.fock.ORTHO_TOL
+    for _ in range(abs(steps)):
+        eps = math.nextafter(eps, math.inf if steps > 0 else 0.0)
+    tilted = QString({"0": math.sqrt(1.0 - eps * eps), "1": eps})
+    basis = [tilted, basis_state("1")]
+    words = PrefixCode({0: "0", 1: "10"})
+    if steps > 0:
+        with pytest.raises(NotOrthonormalError):
+            build_condensable_code(basis, words)
+        return
+    machine = machine_from_code(build_condensable_code(basis, words))
+    assert machine_complexity(machine, basis_state("1")).value == pytest.approx(2.0)
 
 
 # --- universal complexity over catalogs ----------------------------------------------

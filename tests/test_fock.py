@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qfock import (
@@ -28,9 +28,15 @@ from qfock import (
     sequence_encode,
     write_qstring_file,
 )
-from qfock.fock import LENGTH_CAP, format_inline_state, parse_inline_state
+from qfock.fock import LENGTH_CAP, format_inline_state, is_bitstring, parse_inline_state
 
-from helpers import random_qstring
+from helpers import (
+    amplitude_bits,
+    outcome,
+    random_qstring,
+    sequence_decode_by_pairs,
+    sequence_encode_by_pairs,
+)
 
 bitstrings = st.text(alphabet="01", min_size=0, max_size=24)
 
@@ -178,6 +184,82 @@ def test_sequence_roundtrip(strings):
 def test_sequence_encode_rejects_empty():
     with pytest.raises(ValueError):
         sequence_encode([])
+
+
+# Items the checks must reject: stray characters, look-alike digits, other
+# types, and strings at and past the length cap.
+BAD_ITEMS = ["2", "\u0660", "\uff11", "0 1", "01\n", None, 7, b"01"]
+CAP_LENGTHS = (LENGTH_CAP // 2 - 1, LENGTH_CAP // 2, LENGTH_CAP, LENGTH_CAP + 1)
+CAP_ITEMS = ["1" * n for n in CAP_LENGTHS]
+sequence_items = st.one_of(bitstrings, st.sampled_from(BAD_ITEMS), st.sampled_from(CAP_ITEMS))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.one_of(bitstrings, sequence_items), max_size=6))
+def test_sequence_encode_matches_the_pairwise_fold(items):
+    # Same value, or the same error type and message, as one checked
+    # pair_encode per step, over-cap encodings included.
+    assert outcome(sequence_encode, items) == outcome(sequence_encode_by_pairs, items)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.one_of(
+        st.text(alphabet="01", max_size=40),
+        st.lists(bitstrings, min_size=1, max_size=5).map(sequence_encode),
+        st.sampled_from(BAD_ITEMS + CAP_ITEMS),
+    ),
+    st.integers(-1, 7),
+)
+def test_sequence_decode_matches_the_pairwise_loop(z, count):
+    assert outcome(sequence_decode, z, count) == outcome(sequence_decode_by_pairs, z, count)
+
+
+# --- the label test and the trusted constructor --------------------------------
+
+@settings(max_examples=300)
+@given(st.text() | st.text(alphabet="01\u0660\uff11\n 2", max_size=12))
+@example("\u0660")  # ARABIC-INDIC DIGIT ZERO
+@example("\uff11")  # FULLWIDTH DIGIT ONE
+@example("\n")
+@example("0 1")
+@example("")
+def test_is_bitstring_is_a_set_test(s):
+    assert is_bitstring(s) == (set(s) <= {"0", "1"})
+
+
+amplitudes = st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=200)
+@given(
+    st.lists(st.tuples(st.text(alphabet="01", max_size=3), amplitudes), max_size=6),
+    st.booleans(),
+    st.booleans(),
+    st.booleans(),
+)
+def test_from_checked_matches_the_checked_constructor(pairs, as_dict, unit, normalize):
+    # Labels drawn short so that lists repeat them; `unit` rescales the
+    # amplitudes so that normalize=False has states to accept.
+    norm = math.sqrt(sum(abs(a) ** 2 for _, a in pairs))
+    if unit and norm > 0:
+        pairs = [(b, a / norm) for b, a in pairs]
+    terms = dict(pairs) if as_dict else pairs
+    want = outcome(QString, terms, normalize=normalize)
+    got = outcome(QString._from_checked, terms, normalize=normalize)
+    if want[0] == "ok" and got[0] == "ok":
+        assert amplitude_bits(got[1]) == amplitude_bits(want[1])
+    else:
+        assert got == want
+
+
+def test_self_delimit_keeps_the_length_cap():
+    # 2 * len + 1 is one past the cap for the first, one below it for the second.
+    long = "0" * (LENGTH_CAP // 2)
+    with pytest.raises(LengthCapExceededError):
+        self_delimit(QString({long: 1.0}))
+    fits = long[1:]
+    assert self_delimit(QString({fits: 1.0})).keys() == {delimit_bits(fits)}
 
 
 def test_pigeonhole_count():

@@ -6,7 +6,10 @@ and the package itself reach them only inside the functions that need
 linear algebra, or through the package's lazy ``__getattr__``.
 
 The package also has one file edge: only ``fock.read_text`` and
-``fock.write_text`` open files.
+``fock.write_text`` open files.  Input from outside is checked in full:
+the trusted constructors, which skip checks, are called only where the
+parts were checked already, never from ``cli`` or a ``read_*``/``load_*``
+function.
 """
 
 import ast
@@ -208,6 +211,48 @@ def test_only_read_text_and_write_text_open_files():
         for where in _open_references(ast.parse(path.read_text(), str(path)))
     ]
     assert sorted(openers) == [("fock", "read_text"), ("fock", "write_text")]
+
+
+# QString._from_checked, DescriberMachine._from_checked, PrefixCode._canonical
+TRUSTED = {"_from_checked", "_canonical"}
+
+
+def _trusted_calls(tree: ast.Module) -> list[str]:
+    """The enclosing function (or ``<module>``) of each trusted call."""
+    found: list[str] = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if (
+                isinstance(child, ast.Call)
+                and isinstance(child.func, ast.Attribute)
+                and child.func.attr in TRUSTED
+            ):
+                found.append(where)
+            named = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, child.name if named else where)
+
+    visit(tree, "<module>")
+    return found
+
+
+def test_trusted_constructors_only_take_checked_parts():
+    callers = [
+        (path.stem, where)
+        for path in sorted(SRC.glob("*.py"))
+        for where in _trusted_calls(ast.parse(path.read_text(), str(path)))
+    ]
+    for module, where in callers:
+        assert module != "cli", f"cli calls a trusted constructor in {where}"
+        assert not where.startswith(("read_", "load_")), f"{module}.{where}"
+    # The scan does see them: each where its parts were checked before.
+    assert sorted(callers) == [
+        ("codes", "canonical_prefix_code"),
+        ("complexity", "machine_from_code"),
+        ("fock", "self_delimit"),
+        ("qcode", "eigen_ensemble"),
+        ("qcode", "encode_qstring"),
+    ]
 
 
 def test_public_names_unchanged_and_resolvable():

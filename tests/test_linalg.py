@@ -64,6 +64,18 @@ class TestDensityOperator:
         with pytest.raises(ValueError):
             rho.matrix[0, 0] = 9.0
 
+    def test_matrix_cannot_be_made_writeable(self):
+        # eig_hermitian trusts the checked matrix, so neither the array nor
+        # its base may be switched back to writeable and edited.
+        source = np.eye(2, dtype=complex) / 2
+        rho = dm(source)
+        for array in (rho.matrix, rho.matrix.base):
+            with pytest.raises(ValueError):
+                array.flags.writeable = True
+        source[0, 1] = 0.4  # the caller's array is not shared either
+        assert rho.matrix[0, 1] == 0.0
+        assert eig_hermitian(rho).eigenvalues.tolist() == [0.5, 0.5]
+
 
 class TestEnsemble:
     def test_probability_checks(self):
