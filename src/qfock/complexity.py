@@ -19,7 +19,8 @@ Those checks run once, where a table enters: ``DescriberMachine`` and
 the machine file readers check every program, prefix-freeness when the
 machine is flagged prefix, and orthonormality.  :func:`machine_from_code`
 runs none of them again, because the condensable code it views already
-did; it is the one trusted path.
+did, and neither does :func:`self_delimit_machine`, which recodes a
+machine that did; they are the two trusted paths.
 
 :class:`IdentityMachine` needs no table: each term of length <= L is its
 own program, so the value is the average length (``2 * avg + 1`` once
@@ -29,7 +30,11 @@ A machine catalog plays the role of a finite universal table.  Machine
 i is addressed by the self-delimiting index ``1^len(bin(i)) 0 bin(i)``,
 which costs ``2 * len(bin(i)) + 1`` extra bits; the catalog complexity
 of a state is the cheapest total over machines that span it, ties going
-to the lowest index.
+to the lowest index.  A query walks the catalog once, in index order:
+each machine returns a private tally (captured weight, value, weights)
+and raises nothing, so a machine whose span misses the state costs one
+comparison, and the walk stops at the first machine whose index cost
+alone reaches the best total so far, since no later machine can beat it.
 
 Machine text format: a ``prefix: true|false`` header line, then one
 ``<program> -> <state>`` line per program, where ``<state>`` is either
@@ -63,6 +68,7 @@ from .fock import (
     ORTHO_TOL,
     SPAN_TOL,
     QString,
+    _delimit,
     check_bitstring,
     delimit_bits,
     format_bits,
@@ -122,12 +128,14 @@ class DescriberMachine:
 
     @classmethod
     def _from_checked(cls, table: dict[str, QString]) -> DescriberMachine:
-        """The prefix machine of a table already checked as a code.
+        """The prefix machine of a table whose parts are already checked.
 
-        For :func:`machine_from_code` only: a ``PrefixCode`` checked the
-        programs and that they are prefix-free, and a ``CondensableCode``
-        checked that the outputs are orthonormal, so none of that runs
-        again.
+        For two callers only.  In :func:`machine_from_code` a ``PrefixCode``
+        checked the programs and that they are prefix-free, and a
+        ``CondensableCode`` checked that the outputs are orthonormal.  In
+        :func:`self_delimit_machine` the source machine checked its
+        programs and outputs, and delimiting makes the programs
+        prefix-free.  None of that runs again.
         """
         machine = cls.__new__(cls)
         machine._programs = table
@@ -178,10 +186,16 @@ class DescriberMachine:
 
     def describe(self, state: QString) -> ComplexityEstimate:
         """Average description length of ``state`` on this machine."""
+        return _estimate(self._tally(state))
+
+    def _tally(self, state: QString) -> _Tally:
+        # Only programs listed under the state's strings can overlap it.
         candidates: set[str] = set()
         for bits in state.keys():
             candidates.update(self._key_index.get(bits, ()))
-        return _estimate(
+        if not candidates:
+            return 0.0, 0.0, {}
+        return _weigh(
             (prog, abs(inner_product(self._programs[prog], state)) ** 2)
             for prog in sorted(candidates, key=length_lex)
         )
@@ -224,8 +238,15 @@ class IdentityMachine:
 
     def describe(self, state: QString) -> ComplexityEstimate:
         """Average description length of ``state`` on this machine."""
-        short = sorted((b for b in state.keys() if len(b) <= self.max_len), key=length_lex)
-        return _estimate((self._program(b), abs(state.amplitude(b)) ** 2) for b in short)
+        return _estimate(self._tally(state))
+
+    def _tally(self, state: QString) -> _Tally:
+        # The labels are distinct, so the sort never compares amplitudes;
+        # a QString's labels are checked, so delimiting skips the check.
+        short = sorted((len(b), b, a) for b, a in state.items() if len(b) <= self.max_len)
+        if self.prefix_flag:
+            return _weigh((_delimit(b), abs(a) ** 2) for _, b, a in short)
+        return _weigh((b, abs(a) ** 2) for _, b, a in short)
 
 
 Describer = DescriberMachine | IdentityMachine
@@ -246,9 +267,15 @@ class ComplexityEstimate:
     decomposition: dict[str, float] = field(default_factory=dict)
 
 
-def _estimate(weighted: Iterable[tuple[str, float]]) -> ComplexityEstimate:
-    """The estimate from ``(program, weight)`` pairs in ``length_lex``
-    program order, the one order in which every machine sums."""
+#: ``(captured, value, weights)``: the squared norm of the state inside a
+#: machine's span, the average program length, and each contributing
+#: program's weight.
+_Tally = tuple[float, float, dict[str, float]]
+
+
+def _weigh(weighted: Iterable[tuple[str, float]]) -> _Tally:
+    """The tally of ``(program, weight)`` pairs in ``length_lex`` program
+    order, the one order in which every machine sums."""
     weights: dict[str, float] = {}
     captured = 0.0
     value = 0.0
@@ -257,6 +284,13 @@ def _estimate(weighted: Iterable[tuple[str, float]]) -> ComplexityEstimate:
         if w > AMP_FLOOR:
             weights[prog] = w
             value += w * len(prog)
+    return captured, value, weights
+
+
+def _estimate(tally: _Tally) -> ComplexityEstimate:
+    """The single-machine estimate of a tally; raises
+    :class:`OutOfSpanError` when the state leaves the span."""
+    captured, value, weights = tally
     if 1.0 - captured > SPAN_TOL:
         raise OutOfSpanError(
             f"state leaves the machine span; residual {1.0 - captured:.3e}"
@@ -307,37 +341,52 @@ class MachineCatalog:
         return iter(self._machines)
 
 
-def _spanning(cat: MachineCatalog, state: QString) -> list[tuple[int, ComplexityEstimate]]:
-    """``(index, estimate)`` for every catalog machine that spans ``state``."""
-    found = []
+def _query(
+    cat: MachineCatalog, state: QString, *, prune: bool
+) -> tuple[ComplexityEstimate, float]:
+    """The cheapest catalog estimate of ``state`` and its least bare value.
+
+    Machines are tallied once each, in index order; one whose span misses
+    the state is passed over with one comparison.  With ``prune`` the walk
+    stops at the first machine whose index cost alone reaches the best
+    total so far.  That is exact: values are >= 0, index costs never fall
+    with the index, and ties go to the lowest index.  The least bare value
+    is then over the machines tallied only.
+    """
+    best_total, best_index, best_weights = math.inf, 0, {}
+    least = math.inf
     for i, machine in enumerate(cat, start=1):
-        try:
-            found.append((i, machine_complexity(machine, state)))
-        except OutOfSpanError:
+        cost = index_cost(i)
+        if prune and cost >= best_total:
+            break
+        captured, value, weights = machine._tally(state)
+        if 1.0 - captured > SPAN_TOL:
             continue
-    if not found:
+        if value < least:
+            least = value
+        total = cost + value
+        if total < best_total:
+            best_total, best_index, best_weights = total, i, weights
+    if not best_index:
         raise NoDescriberError("no machine in the catalog spans the state")
-    return found
-
-
-def _cheapest(spanning: list[tuple[int, ComplexityEstimate]]) -> ComplexityEstimate:
-    """The lowest index-cost-plus-value total; ``min`` keeps the first tie."""
-    i, est = min(spanning, key=lambda pair: index_cost(pair[0]) + pair[1].value)
-    return ComplexityEstimate(float(index_cost(i) + est.value), i, est.decomposition)
+    return ComplexityEstimate(float(best_total), best_index, best_weights), least
 
 
 def universal_complexity(cat: MachineCatalog, state: QString) -> ComplexityEstimate:
     """Cheapest index-cost-plus-description total over the catalog.
 
     Ties go to the lowest machine index; a state no machine spans
-    raises :class:`NoDescriberError`.
+    raises :class:`NoDescriberError`.  The query walks the catalog in
+    index order and stops once a machine's index cost alone reaches the
+    best total; a machine whose span misses the state costs one
+    comparison, not a raised error.
     """
-    return _cheapest(_spanning(cat, state))
+    return _query(cat, state, prune=True)[0]
 
 
 def min_description_length(cat: MachineCatalog, state: QString) -> float:
     """Best machine-level value over the catalog, without index costs."""
-    return min(est.value for _, est in _spanning(cat, state))
+    return _query(cat, state, prune=False)[1]
 
 
 def fidelity_penalized_complexity(
@@ -385,8 +434,11 @@ def self_delimit_machine(machine: Describer) -> Describer:
     """
     if isinstance(machine, IdentityMachine) and not machine.prefix_flag:
         return IdentityMachine(machine.max_len, True)
-    programs = {delimit_bits(p): out for p, out in machine.programs.items()}
-    return DescriberMachine(programs, prefix_flag=True)
+    # The machine checked its programs and outputs, and delimiting distinct
+    # programs gives a prefix-free set, so nothing is checked again.
+    return DescriberMachine._from_checked(
+        {_delimit(p): out for p, out in machine.programs.items()}
+    )
 
 
 def machine_from_code(code: CondensableCode) -> DescriberMachine:

@@ -33,8 +33,7 @@ from typing import TYPE_CHECKING
 from .codes import ceil_neg_log2, kraft_sum
 from .complexity import (
     MachineCatalog,
-    _cheapest,
-    _spanning,
+    _query,
     index_cost,
     universal_complexity,
 )
@@ -135,9 +134,7 @@ def incompressibility_report(
 
     per_state = []
     for sid, state in enumerate(members):
-        spanning = _spanning(cat, state)
-        est = _cheapest(spanning)
-        bare = min(e.value for _, e in spanning)
+        est, bare = _query(cat, state, prune=False)
         per_state.append(StateComplexity(sid, est.value, est.machine_index, bare))
     max_len = max(s.description_length for s in per_state)
     return IncompressibilityReport(

@@ -5,9 +5,19 @@ from fractions import Fraction
 
 import numpy as np
 
-from qfock import QString, delimit_bits, inner_product, make_qstring, pair_decode, pair_encode
+from qfock import (
+    ComplexityEstimate,
+    QString,
+    delimit_bits,
+    index_cost,
+    inner_product,
+    machine_complexity,
+    make_qstring,
+    pair_decode,
+    pair_encode,
+)
 from qfock.complexity import DescriberMachine
-from qfock.errors import QFockError
+from qfock.errors import NoDescriberError, OutOfSpanError, QFockError
 from qfock.fock import check_bitstring, format_bits
 
 
@@ -64,6 +74,27 @@ def identity_table(max_len, prefix_flag):
             bits = format(v, f"0{n}b") if n else ""
             programs[delimit_bits(bits) if prefix_flag else bits] = QString({bits: 1.0})
     return DescriberMachine(programs, prefix_flag=prefix_flag)
+
+
+def catalog_query_by_exhaustion(cat, state):
+    """``(estimate, least bare value)`` by the loop catalog queries ran
+    before they tallied machines and skipped the costly ones.
+
+    ``machine_complexity`` on every machine, ``OutOfSpanError``
+    swallowed, then ``min`` over index cost plus value, which keeps the
+    first tie; raises ``NoDescriberError`` when no machine spans the state.
+    """
+    spanning = []
+    for i, machine in enumerate(cat, start=1):
+        try:
+            spanning.append((i, machine_complexity(machine, state)))
+        except OutOfSpanError:
+            continue
+    if not spanning:
+        raise NoDescriberError("no machine in the catalog spans the state")
+    i, est = min(spanning, key=lambda pair: index_cost(pair[0]) + pair[1].value)
+    cheapest = ComplexityEstimate(float(index_cost(i) + est.value), i, est.decomposition)
+    return cheapest, min(e.value for _, e in spanning)
 
 
 def sequence_encode_by_pairs(strings):

@@ -13,6 +13,7 @@ from qfock import (
     PrefixCode,
     DuplicateKeyError,
     FormatError,
+    LengthCapExceededError,
     NoDescriberError,
     NoOverlapError,
     NotOrthonormalError,
@@ -25,6 +26,7 @@ from qfock import (
     base_length_complexity,
     basis_state,
     build_condensable_code,
+    delimit_bits,
     dump_machine,
     fidelity_penalized_complexity,
     identity_machine,
@@ -50,6 +52,7 @@ from qfock.complexity import (
 
 from helpers import (
     LABEL_POOL,
+    catalog_query_by_exhaustion,
     culprit,
     identity_table,
     outcome,
@@ -276,6 +279,63 @@ def test_self_delimit_machine_program_law():
     assert "1110110" in self_delimit_machine(identity_machine(3)).programs
 
 
+def _random_table(rng, prefix_flag):
+    """A table machine over a random orthonormal family, on distinct
+    programs of up to 3 bits (delimited when ``prefix_flag``)."""
+    size = int(rng.integers(1, 5))
+    length = max(1, (size - 1).bit_length()) + int(rng.integers(0, 2))
+    family = random_orthonormal_family(rng, size, length=length)
+    words = list(all_bitstrings(3))
+    picks = rng.choice(len(words), size=size, replace=False)
+    programs = [delimit_bits(words[k]) if prefix_flag else words[k] for k in picks]
+    return DescriberMachine(dict(zip(programs, family)), prefix_flag=prefix_flag)
+
+
+def _states_around(rng, machines):
+    """States inside and outside the machines' spans: short basis strings,
+    random superpositions, and each table's outputs and a mixture of them."""
+    states = [basis_state(b) for b in ("", "0", "11")]
+    states += [random_qstring(rng, max_len=4, max_terms=3) for _ in range(3)]
+    for machine in machines:
+        if isinstance(machine, DescriberMachine):
+            outs = list(machine.programs.values())
+            states += outs
+            terms = {}
+            for c, out in zip(rng.standard_normal(len(outs)), outs):
+                for bits, amp in out.items():
+                    terms[bits] = terms.get(bits, 0j) + float(c) * amp
+            states.append(QString(terms, normalize=True))
+    return states
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.booleans())
+def test_self_delimit_machine_matches_the_checked_constructor(seed, prefix_flag):
+    # self_delimit_machine skips the checks; the machine the checked
+    # constructor builds from the same delimited table is the oracle.
+    rng = np.random.default_rng(seed)
+    for machine in (_random_table(rng, prefix_flag), IdentityMachine(2, True)):
+        trusted = self_delimit_machine(machine)
+        checked = DescriberMachine(
+            {delimit_bits(p): out for p, out in machine.programs.items()}, prefix_flag=True
+        )
+        assert trusted.prefix_flag
+        assert list(trusted.programs.items()) == list(checked.programs.items())
+        for state in _states_around(rng, [checked]):
+            assert repr(outcome(trusted.describe, state)) == repr(outcome(checked.describe, state))
+
+
+def test_self_delimit_machine_keeps_the_length_cap():
+    fits = "0" * ((qfock.fock.LENGTH_CAP - 1) // 2)
+    too_long = fits + "0"
+    ok = DescriberMachine({fits: basis_state("0"), "1": basis_state("1")}, prefix_flag=False)
+    assert delimit_bits(fits) in self_delimit_machine(ok).programs
+    bad = DescriberMachine({too_long: basis_state("0"), "1": basis_state("1")}, prefix_flag=False)
+    with pytest.raises(LengthCapExceededError) as exc:
+        self_delimit_machine(bad)
+    assert outcome(delimit_bits, too_long) == ("raised", LengthCapExceededError, str(exc.value))
+
+
 def test_machine_from_code():
     code = build_condensable_code(
         [basis_state("00"), basis_state("01")], {0: "0", 1: "10"}
@@ -385,6 +445,83 @@ def test_universal_monotone_under_catalog_extension():
         small = universal_complexity(MachineCatalog(base), psi).value
         large = universal_complexity(MachineCatalog(extended), psi).value
         assert large <= small + 1e-12
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 12))
+def test_catalog_queries_match_the_exhaustive_loop(seed, size):
+    # Machines drawn with repeats, so totals tie; short basis strings on
+    # a leading identity make the index-cost skip fire.
+    rng = np.random.default_rng(seed)
+    pool = [
+        identity_machine(int(rng.integers(0, 4))),
+        IdentityMachine(int(rng.integers(0, 4)), True),
+        _random_table(rng, False),
+        _random_table(rng, True),
+    ]
+    pool.append(self_delimit_machine(pool[2]))
+    cat = MachineCatalog([pool[int(k)] for k in rng.integers(len(pool), size=size)])
+    for state in _states_around(rng, pool):
+        want = outcome(catalog_query_by_exhaustion, cat, state)
+        got = outcome(universal_complexity, cat, state)
+        assert repr(got) == repr(want if want[0] == "raised" else ("ok", want[1][0]))
+        bare = outcome(min_description_length, cat, state)
+        assert repr(bare) == repr(want if want[0] == "raised" else ("ok", want[1][1]))
+
+
+def _count_tallies(monkeypatch):
+    tallied = []
+    for cls in (DescriberMachine, IdentityMachine):
+        def counting(self, state, real=cls._tally):
+            tallied.append(self)
+            return real(self, state)
+
+        monkeypatch.setattr(cls, "_tally", counting)
+    return tallied
+
+
+def test_universal_stops_where_the_index_cost_alone_loses(monkeypatch):
+    tallied = _count_tallies(monkeypatch)
+    # Identity: 3 + 2 = 5.  Machine 2 would tie at 5 + 0 and lose the tie,
+    # machine 3 costs 5 as well: neither is tallied.
+    free = DescriberMachine({"": basis_state("00")}, prefix_flag=False)
+    cat = MachineCatalog([identity_machine(4), free, identity_machine(2)])
+    est = universal_complexity(cat, basis_state("00"))
+    assert (est.value, est.machine_index) == (5.0, 1)
+    assert tallied == [cat.machines[0]]
+    assert repr(est) == repr(catalog_query_by_exhaustion(cat, basis_state("00"))[0])
+    # The bare minimum needs every machine.
+    tallied.clear()
+    assert min_description_length(cat, basis_state("00")) == 0.0
+    assert len(tallied) == len(cat)
+
+
+def test_universal_builds_one_estimate_and_raises_nothing_for_misses(monkeypatch):
+    built, raised = [], []
+    real = qfock.complexity.ComplexityEstimate
+
+    def counting_estimate(*args, **kwargs):
+        built.append(args)
+        return real(*args, **kwargs)
+
+    class CountingOutOfSpan(OutOfSpanError):
+        def __init__(self, *args):
+            raised.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(qfock.complexity, "ComplexityEstimate", counting_estimate)
+    monkeypatch.setattr(qfock.complexity, "OutOfSpanError", CountingOutOfSpan)
+    state = QString({"0": 0.6, "011": 0.8})
+    misses = [DescriberMachine({"0": basis_state(b)}, prefix_flag=True) for b in ("1", "00", "111")]
+    partial = identity_machine(1)  # spans "0" but not "011"
+    cat = MachineCatalog([*misses, partial, *misses, identity_machine(3)])
+    est = universal_complexity(cat, state)
+    assert (est.machine_index, est.value) == (8, pytest.approx(9 + 0.36 + 0.64 * 3))
+    assert len(built) == 1 and not raised
+    # The probes do see what a single-machine query builds and raises.
+    with pytest.raises(OutOfSpanError):
+        machine_complexity(partial, state)
+    assert len(raised) == 1
 
 
 def test_min_description_length_ignores_index_costs():

@@ -110,11 +110,11 @@ def test_incompressibility_plain_bound_for_nonprefix_catalog():
 def test_incompressibility_describes_each_pair_once(monkeypatch):
     calls = []
     for cls in (DescriberMachine, IdentityMachine):
-        def counting(self, state, real=cls.describe):
+        def counting(self, state, real=cls._tally):
             calls.append((self, state))
             return real(self, state)
 
-        monkeypatch.setattr(cls, "describe", counting)
+        monkeypatch.setattr(cls, "_tally", counting)
     specialist = DescriberMachine({"0": basis_state("01")}, prefix_flag=True)
     cat = MachineCatalog(
         [identity_machine(2), self_delimit_machine(identity_machine(2)), specialist]

@@ -249,6 +249,7 @@ def test_trusted_constructors_only_take_checked_parts():
     assert sorted(callers) == [
         ("codes", "canonical_prefix_code"),
         ("complexity", "machine_from_code"),
+        ("complexity", "self_delimit_machine"),
         ("fock", "self_delimit"),
         ("qcode", "eigen_ensemble"),
         ("qcode", "encode_qstring"),
