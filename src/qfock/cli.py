@@ -48,9 +48,9 @@ from .fock import (
     base_length,
     dump_qstring,
     format_bits,
-    is_bitstring,
     pair_decode,
     pair_encode,
+    parse_bits,
     read_qstring_file,
     self_delimit,
     write_qstring_file,
@@ -157,11 +157,13 @@ def _parse_list(text: str, conv: Callable[[str], object], what: str) -> list:
 
 
 def _parse_bits_arg(token: str) -> str:
-    if token == EPS_TOKEN:
-        return ""
-    if not token or not is_bitstring(token):
-        raise _UsageError(f"bad bitstring argument {token!r} (use '{EPS_TOKEN}' for empty)")
-    return token
+    """A bitstring option, by the token rule of the files (``fock.parse_bits``)."""
+    try:
+        return parse_bits(token)
+    except FormatError:
+        raise _UsageError(
+            f"bad bitstring argument {token!r} (use '{EPS_TOKEN}' for empty)"
+        ) from None
 
 
 def _code_fields(code: PrefixCode) -> dict:
@@ -202,14 +204,15 @@ def _density(path: str):
     return density_from_ensemble(read_ensemble_file(path))
 
 
-def _spectrum_fields(rho, dec) -> dict:
-    """Dimension, entropy and eigenvalues of ``rho``, decomposed as ``dec``."""
-    from .linalg import entropy_of_spectrum
+def _spectrum_fields(rho) -> dict:
+    """Dimension, entropy and eigenvalues of ``rho``."""
+    from .linalg import eig_hermitian, entropy_of_spectrum
 
+    eigenvalues = eig_hermitian(rho).eigenvalues
     return {
         "dim": rho.dim,
-        "entropy": entropy_of_spectrum(dec.eigenvalues),
-        "eigenvalues": [float(x) for x in dec.eigenvalues],
+        "entropy": entropy_of_spectrum(eigenvalues),
+        "eigenvalues": [float(x) for x in eigenvalues],
     }
 
 
@@ -299,10 +302,7 @@ def _cmd_selfdelim(args):
 
 @_command("entropy", "von Neumann entropy of an ensemble's density operator", _RHO)
 def _cmd_entropy(args):
-    from .linalg import eig_hermitian
-
-    rho = _density(args.rho)
-    result = _spectrum_fields(rho, eig_hermitian(rho))
+    result = _spectrum_fields(_density(args.rho))
     return (result, {"psd": min(result["eigenvalues"]) >= -1e-9})
 
 
@@ -380,15 +380,13 @@ def _cmd_encode(args):
     table=lambda result: result.get("sweep", [result]),
 )
 def _cmd_lossy(args):
-    from .linalg import eig_hermitian
     from .qcode import lossy_typical_projection
 
     ns = _parse_list(args.n, int, "copy-count")
     if not ns:
         raise _UsageError("no copy counts given")
     rho = _density(args.rho)
-    dec = eig_hermitian(rho)
-    rows = [dataclasses.asdict(lossy_typical_projection(rho, n, args.delta, dec)) for n in ns]
+    rows = [dataclasses.asdict(lossy_typical_projection(rho, n, args.delta)) for n in ns]
     if len(rows) == 1:
         return (rows[0], {"success_le_one": rows[0]["success"] <= 1.0})
     return (
@@ -507,14 +505,13 @@ def _cmd_nonadd(args):
 )
 def _cmd_sandwich(args):
     from .experiments import entropy_sandwich_report
-    from .linalg import density_from_ensemble, eig_hermitian, read_ensemble_file
+    from .linalg import density_from_ensemble, read_ensemble_file
     from .qcode import sw_lossless_code
 
     ens = read_ensemble_file(args.ensemble)
-    rho = density_from_ensemble(ens)
-    dec = eig_hermitian(rho)
-    cat = _build_catalog(args, [machine_from_code(sw_lossless_code(rho, dec))])
-    result = dataclasses.asdict(entropy_sandwich_report(ens, cat, dec))
+    code = sw_lossless_code(density_from_ensemble(ens))  # the report reuses its spectrum
+    cat = _build_catalog(args, [machine_from_code(code)])
+    result = dataclasses.asdict(entropy_sandwich_report(ens, cat))
     checks = {"lower": result.pop("lower_ok"), "upper": result.pop("upper_ok")}
     return (result, checks)
 
@@ -582,15 +579,14 @@ def _cmd_randrho(args):
     if args.seed < 0:
         raise _UsageError(f"randrho needs a non-negative --seed, got {args.seed}")
     from .experiments import random_density
-    from .linalg import Ensemble, dump_ensemble, eig_hermitian, write_ensemble_file
+    from .linalg import Ensemble, dump_ensemble, write_ensemble_file
     from .qcode import eigen_ensemble
 
     rho = random_density(args.dim, args.seed)
-    dec = eig_hermitian(rho)
-    ens = Ensemble(eigen_ensemble(rho, dec))
+    ens = Ensemble(eigen_ensemble(rho))
     if args.out_ens:
         write_ensemble_file(args.out_ens, ens)
-    result = _spectrum_fields(rho, dec)
+    result = _spectrum_fields(rho)
     return (
         {**result, "ensemble_text": dump_ensemble(ens)},
         {"trace_one": abs(sum(result["eigenvalues"]) - 1.0) <= 1e-9},

@@ -51,7 +51,7 @@ from .fock import QString
 # linalg loads numpy, so the functions that need it import it themselves:
 # multicopy_report and nonadditivity_search run without numpy.
 if TYPE_CHECKING:
-    from .linalg import DensityOperator, Ensemble, SpectralDecomposition
+    from .linalg import DensityOperator, Ensemble
 
 RANDOM_DIM_MIN = 2
 RANDOM_DIM_MAX = 64
@@ -310,25 +310,20 @@ class SandwichReport:
     upper_ok: bool
 
 
-def entropy_sandwich_report(
-    e: Ensemble, cat: MachineCatalog, dec: SpectralDecomposition | None = None
-) -> SandwichReport:
+def entropy_sandwich_report(e: Ensemble, cat: MachineCatalog) -> SandwichReport:
     """Wedge the expected catalog complexity of ``e`` against S(rho).
 
     Requires a prefix-flagged catalog.  The overhead ``c`` is the
     largest index cost in the catalog; whenever some machine in the
     catalog realizes a lossless code for the ensemble's density
     operator, the expectation satisfies
-    ``S(rho) <= E <= S(rho) + 1 + c``.  ``dec`` is ``eig_hermitian(rho)``
-    when the caller already has it.
+    ``S(rho) <= E <= S(rho) + 1 + c``.
     """
-    from .linalg import density_from_ensemble, eig_hermitian, entropy_of_spectrum
+    from .linalg import density_from_ensemble, von_neumann_entropy
 
     if not cat.all_prefix():
         raise NotPrefixFreeError("sandwich bounds need a prefix-flagged catalog")
-    if dec is None:
-        dec = eig_hermitian(density_from_ensemble(e))
-    entropy = entropy_of_spectrum(dec.eigenvalues)
+    entropy = von_neumann_entropy(density_from_ensemble(e))
     per_member = []
     expected = 0.0
     for p, state in e:

@@ -7,7 +7,11 @@ entropies are in bits.
 
 The eigensolver is LAPACK's Hermitian ``eigh`` (through numpy), with
 the order of ties and the phase of each eigenvector fixed by this module
-rather than by the LAPACK build.
+rather than by the LAPACK build.  An operator is immutable, so it keeps
+its decomposition from the first :func:`eig_hermitian` call, and an
+ensemble keeps the operator :func:`density_from_ensemble` built from it:
+``eigh`` runs once per operator.  The cost is one more d x d complex128
+array (the eigenvectors; 256 MiB at ``DIM_CAP``) per operator.
 
 This module, and ``qcode`` on top of it, load numpy on import; the
 string, code, machine and report layers import them only inside the
@@ -61,6 +65,12 @@ def _check_dim(dim: int, what: str) -> None:
         raise DimensionCapExceededError(f"{what} {dim} exceeds the cap {DIM_CAP}")
 
 
+def _immutable(a: np.ndarray) -> np.ndarray:
+    """A copy of ``a`` on immutable bytes: neither it nor its base can be
+    made writeable again, so a checked or shared array stays as it was."""
+    return np.frombuffer(a.tobytes(), dtype=a.dtype).reshape(a.shape)
+
+
 def _check_hermitian(m: np.ndarray) -> None:
     """Reject a square matrix that is not Hermitian within ``HERM_TOL``."""
     herm_err = float(np.max(np.abs(m - m.conj().T)))
@@ -71,7 +81,7 @@ def _check_hermitian(m: np.ndarray) -> None:
 class Ensemble:
     """A finite mixture of quantum strings with positive weights summing to 1."""
 
-    __slots__ = ("_entries",)
+    __slots__ = ("_entries", "_rho")  # _rho: kept by density_from_ensemble
 
     def __init__(self, entries: Iterable[tuple[float, QString]]) -> None:
         pairs = []
@@ -92,6 +102,7 @@ class Ensemble:
                 f"ensemble probabilities sum to {total!r}, not 1"
             )
         self._entries = tuple(pairs)
+        self._rho: DensityOperator | None = None
 
     @property
     def entries(self) -> tuple[tuple[float, QString], ...]:
@@ -107,7 +118,7 @@ class Ensemble:
 class DensityOperator:
     """A trace-one Hermitian operator over an explicit bitstring basis."""
 
-    __slots__ = ("_basis", "_matrix")
+    __slots__ = ("_basis", "_matrix", "_dec")  # _dec: kept by eig_hermitian
 
     def __init__(self, basis: Sequence[str], matrix) -> None:
         labels = tuple(check_bitstring(b) for b in basis)
@@ -124,17 +135,17 @@ class DensityOperator:
         if m.shape[0] == 0:
             raise ValueError("dimension must be at least 1")
         # The checks below are trusted for the operator's lifetime (by
-        # eig_hermitian), so they run on a copy over immutable bytes: no
-        # caller can set the array or its base writeable again.  This one
-        # copy replaces np.array's; at DIM_CAP (256 MiB) it took 0.23 s
+        # eig_hermitian), so they run on a copy over immutable bytes.  This
+        # one copy replaces np.array's; at DIM_CAP (256 MiB) it took 0.23 s
         # against 0.11 s on a 2-vCPU VM.
-        m = np.frombuffer(m.tobytes(), dtype=complex).reshape(m.shape)
+        m = _immutable(m)
         _check_hermitian(m)
         tr = complex(np.trace(m))
         if not abs(tr - 1.0) <= TRACE_TOL:  # negated, so a NaN trace fails it
             raise ValueError(f"trace is {tr!r}, not 1")
         self._basis = labels
         self._matrix = m
+        self._dec: SpectralDecomposition | None = None
 
     @property
     def basis(self) -> tuple[str, ...]:
@@ -184,17 +195,21 @@ def state_vector(state: QString, basis: Sequence[str]) -> np.ndarray:
 def density_from_ensemble(e: Ensemble | Iterable[tuple[float, QString]]) -> DensityOperator:
     """Mix the ensemble members into a density operator.
 
-    The basis is the union of all term labels in canonical order.
+    The basis is the union of all term labels in canonical order.  An
+    ``Ensemble`` keeps the operator, so every call on it returns the same
+    object, whose decomposition is then computed only once.
     """
     if not isinstance(e, Ensemble):
         e = Ensemble(e)
-    basis = ensemble_basis(e)
-    _check_dim(len(basis), "ensemble dimension")
-    m = np.zeros((len(basis), len(basis)), dtype=complex)
-    for p, state in e:
-        v = state_vector(state, basis)
-        m += p * np.outer(v, v.conj())
-    return DensityOperator(basis, m)
+    if e._rho is None:
+        basis = ensemble_basis(e)
+        _check_dim(len(basis), "ensemble dimension")
+        m = np.zeros((len(basis), len(basis)), dtype=complex)
+        for p, state in e:
+            v = state_vector(state, basis)
+            m += p * np.outer(v, v.conj())
+        e._rho = DensityOperator(basis, m)
+    return e._rho
 
 
 def eig_hermitian(rho: DensityOperator | np.ndarray) -> SpectralDecomposition:
@@ -205,14 +220,25 @@ def eig_hermitian(rho: DensityOperator | np.ndarray) -> SpectralDecomposition:
     scaled so that its pivot is real and positive, and equal eigenvalues
     are ordered by the position of their pivots, so neither the phases
     nor the order of ties depend on the LAPACK build.
+
+    Both arrays sit on immutable bytes.  A ``DensityOperator`` keeps its
+    decomposition, so later calls return the same object; an array is
+    checked for Hermiticity and decomposed on every call.
     """
     if isinstance(rho, DensityOperator):
-        m = rho.matrix  # checked when the operator was built, and immutable since
-    else:
-        m = np.asarray(rho, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError(f"matrix must be square, got shape {m.shape}")
-        _check_hermitian(m)
+        if rho._dec is None:
+            # the matrix was checked when the operator was built, and is immutable
+            rho._dec = _decompose(rho.matrix)
+        return rho._dec
+    m = np.asarray(rho, dtype=complex)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValueError(f"matrix must be square, got shape {m.shape}")
+    _check_hermitian(m)
+    return _decompose(m)
+
+
+def _decompose(m: np.ndarray) -> SpectralDecomposition:
+    """The decomposition of a checked Hermitian matrix (see eig_hermitian)."""
     vals, vecs = np.linalg.eigh(m)
     mags = np.abs(vecs)
     pivot = np.argmax(mags >= mags.max(axis=0) - PHASE_TIE_TOL, axis=0)
@@ -221,11 +247,9 @@ def eig_hermitian(rho: DensityOperator | np.ndarray) -> SpectralDecomposition:
     vecs = vecs * (np.abs(peak) / peak)
     vecs[pivot, cols] = np.abs(peak)
     order = np.lexsort((pivot, -vals))
-    vals = np.ascontiguousarray(vals[order])
-    vecs = np.ascontiguousarray(vecs[:, order])
-    vals.flags.writeable = False
-    vecs.flags.writeable = False
-    return SpectralDecomposition(eigenvalues=vals, eigenvectors=vecs)
+    return SpectralDecomposition(
+        eigenvalues=_immutable(vals[order]), eigenvectors=_immutable(vecs[:, order])
+    )
 
 
 def entropy_of_spectrum(eigenvalues: Sequence[float]) -> float:
@@ -243,8 +267,7 @@ def entropy_of_spectrum(eigenvalues: Sequence[float]) -> float:
 
 def von_neumann_entropy(rho: DensityOperator) -> float:
     """S(rho) in bits via the spectral decomposition."""
-    dec = eig_hermitian(rho)
-    return entropy_of_spectrum(dec.eigenvalues)
+    return entropy_of_spectrum(eig_hermitian(rho).eigenvalues)
 
 
 def _party_basis(party: int | Sequence[str]) -> tuple[str, ...]:

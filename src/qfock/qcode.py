@@ -50,12 +50,7 @@ from .errors import (
     OutOfSpanError,
 )
 from .fock import AMP_FLOOR, ORTHO_TOL, SPAN_TOL, QString, average_length, inner_product
-from .linalg import (
-    DensityOperator,
-    SpectralDecomposition,
-    eig_hermitian,
-    entropy_of_spectrum,
-)
+from .linalg import DensityOperator, eig_hermitian, entropy_of_spectrum
 
 EIG_FLOOR = 1e-12
 # With a delta so large that nothing is pruned, enumerating the classes
@@ -169,16 +164,15 @@ def encode_qstring(code: CondensableCode, state: QString) -> QString:
     )
 
 
-def eigen_ensemble(
-    rho: DensityOperator, dec: SpectralDecomposition
-) -> list[tuple[float, QString]]:
-    """The eigen-ensemble of ``rho`` from its decomposition ``dec``.
+def eigen_ensemble(rho: DensityOperator) -> list[tuple[float, QString]]:
+    """The eigen-ensemble of ``rho``.
 
     Each eigenvalue at or above ``EIG_FLOOR`` is paired with its
     eigenvector as a quantum string over ``rho.basis``, descending.
     Smaller eigenvalues are dropped together with their eigenvectors;
     they carry no weight at working precision.
     """
+    dec = eig_hermitian(rho)
     vecs = dec.eigenvectors
     columns = vecs.T.tolist()
     keep = (np.abs(vecs) > AMP_FLOOR).T.tolist()
@@ -201,17 +195,10 @@ def _lossless_code(members: Sequence[tuple[float, QString]]) -> CondensableCode:
     return CondensableCode([state for _, state in members], canonical_prefix_code(lengths))
 
 
-def sw_lossless_code(
-    rho: DensityOperator, dec: SpectralDecomposition | None = None
-) -> CondensableCode:
+def sw_lossless_code(rho: DensityOperator) -> CondensableCode:
     """Lossless code for ``rho``: canonical codewords of length
-    ``ceil(-log2 eigenvalue)`` over its eigen-ensemble.
-
-    ``dec`` is ``eig_hermitian(rho)`` when the caller already has it.
-    """
-    if dec is None:
-        dec = eig_hermitian(rho)
-    return _lossless_code(eigen_ensemble(rho, dec))
+    ``ceil(-log2 eigenvalue)`` over its eigen-ensemble."""
+    return _lossless_code(eigen_ensemble(rho))
 
 
 @dataclass(frozen=True)
@@ -251,7 +238,7 @@ def compression_report(
 
 def sw_report(rho: DensityOperator) -> tuple[CondensableCode, CompressionReport]:
     """Build the lossless code of ``rho`` and report it on the eigen-ensemble."""
-    members = eigen_ensemble(rho, eig_hermitian(rho))
+    members = eigen_ensemble(rho)
     code = _lossless_code(members)
     return code, compression_report(code, [lam for lam, _ in members])
 
@@ -333,12 +320,7 @@ def _type_classes(lams: Sequence[float], n: int, budget: int | None = None):
                 stack.append((j + 1, rem - k, part, mult * math.comb(rem, k)))
 
 
-def lossy_typical_projection(
-    rho: DensityOperator,
-    n: int,
-    delta: float,
-    dec: SpectralDecomposition | None = None,
-) -> LossyReport:
+def lossy_typical_projection(rho: DensityOperator, n: int, delta: float) -> LossyReport:
     """Project the blockwise-encoded n-copy source onto ``m`` qubits.
 
     Each n-symbol eigenstring gets a whole-string codeword of length
@@ -352,17 +334,15 @@ def lossy_typical_projection(
     uncompressed block; that case is reported as trivial with success 1
     rather than treated as an error.  Sources with more than
     ``LOSSY_CLASS_CAP`` type classes are rejected before enumeration.
-    ``dec`` is ``eig_hermitian(rho)`` when the caller already has it.
     """
     if not 0.0 < delta < math.inf:  # also rejects NaN
         raise InvalidDeltaError(f"delta must be positive and finite, got {delta!r}")
     n = int(n)
     if not 1 <= n <= 64:
         raise CapExceededError(f"copy count must be in 1..64, got {n}")
-    if dec is None:
-        dec = eig_hermitian(rho)
-    lams = [float(lam) for lam in dec.eigenvalues if lam >= EIG_FLOOR]
-    entropy = entropy_of_spectrum(dec.eigenvalues)
+    eigenvalues = eig_hermitian(rho).eigenvalues
+    lams = [float(lam) for lam in eigenvalues if lam >= EIG_FLOOR]
+    entropy = entropy_of_spectrum(eigenvalues)
     budget_bits = n * (entropy + delta) - 1e-12
     if budget_bits == math.inf:
         raise InvalidDeltaError(f"delta {delta!r} overflows the {n}-copy budget")

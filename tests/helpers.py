@@ -29,6 +29,20 @@ def random_unitary(rng, dim):
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
+def count_eigh(monkeypatch):
+    """Record the shape of each matrix given to ``np.linalg.eigh``: the
+    LAPACK decompositions, however many ``eig_hermitian`` calls ask."""
+    calls = []
+    real = np.linalg.eigh
+
+    def counting(m, *args, **kwargs):
+        calls.append(np.shape(m))
+        return real(m, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    return calls
+
+
 def random_qstring(rng, max_len=6, max_terms=4):
     """Random normalized superposition over distinct short bitstrings."""
     n_terms = int(rng.integers(1, max_terms + 1))

@@ -1,4 +1,5 @@
 import argparse
+import ast
 import builtins
 import hashlib
 import json
@@ -9,10 +10,10 @@ import pytest
 
 import qfock.cli
 import qfock.complexity
-import qfock.linalg
-import qfock.qcode
 from qfock import load_ensemble
 from qfock.cli import main
+
+from helpers import count_eigh
 
 PLUS = "0 0.70710678118654752 0.0\n1 0.70710678118654752 0.0\n"
 
@@ -559,20 +560,9 @@ def test_ineq_dims_entry_over_the_cap_is_a_domain_error(workdir, capsys):
 
 @pytest.fixture()
 def eig_calls(monkeypatch):
-    """Count eig_hermitian calls through every module that binds it.
-
-    The CLI and ``experiments`` import it from ``linalg`` at call time.
-    """
-    calls = []
-    real = qfock.linalg.eig_hermitian
-
-    def counting(rho):
-        calls.append(rho)
-        return real(rho)
-
-    for module in (qfock.linalg, qfock.qcode):
-        monkeypatch.setattr(module, "eig_hermitian", counting)
-    return calls
+    """The LAPACK decompositions, not the ``eig_hermitian`` calls: an
+    operator answers those from the decomposition it keeps."""
+    return count_eigh(monkeypatch)
 
 
 @pytest.mark.parametrize(
@@ -917,3 +907,48 @@ def test_crlf_files_parse_as_lf(files, argv, workdir, capsys, monkeypatch):
             (workdir / name).write_bytes(text.replace("\n", eol).encode())
         results.append(run_json(capsys, argv)["result"])
     assert results[0] == results[1]
+
+
+# --- the criterion-10 invocations, listed twice --------------------------------------
+
+REPO = Path(__file__).resolve().parents[1]
+
+
+def _criterion_10_invocations() -> list[tuple[str, ...]]:
+    """The argv lists of criterion 10, each path variable as the file name
+    it writes (``s = tmp_path / "s.qstr"`` reads ``s.qstr``)."""
+    tree = ast.parse((REPO / "tests" / "test_acceptance.py").read_text())
+    test = next(
+        n for n in ast.walk(tree)
+        if isinstance(n, ast.FunctionDef) and n.name == "test_criterion_10_cli_determinism"
+    )
+    names, invocations = {}, None
+    for node in test.body:
+        if not (isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name)):
+            continue
+        target, value = node.targets[0].id, node.value
+        if isinstance(value, ast.BinOp) and isinstance(value.op, ast.Div):
+            names[target] = ast.literal_eval(value.right)
+        elif target == "invocations":
+            invocations = value
+    return [
+        tuple(names[t.id] if isinstance(t, ast.Name) else ast.literal_eval(t) for t in argv.elts)
+        for argv in invocations.elts
+    ]
+
+
+def _bench_invocations() -> list[tuple[str, ...]]:
+    tree = ast.parse((REPO / "bench" / "workloads" / "cli.py").read_text())
+    value = next(
+        n.value for n in tree.body
+        if isinstance(n, ast.Assign) and getattr(n.targets[0], "id", None) == "INVOCATIONS"
+    )
+    return [tuple(argv) for argv in ast.literal_eval(value)]
+
+
+def test_criterion_10_and_the_cli_benchmark_run_the_same_invocations():
+    # The acceptance test and bench/workloads/cli.py each list the 22
+    # invocations; a change to one list must be made in the other too.
+    acceptance = _criterion_10_invocations()
+    assert len(acceptance) == 22
+    assert acceptance == _bench_invocations()

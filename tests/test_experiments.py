@@ -32,7 +32,7 @@ from qfock import (
 from qfock.complexity import DescriberMachine, IdentityMachine, MachineCatalog
 from qfock.experiments import RANDOM_DIM_MAX, RANDOM_DIM_MIN
 
-from helpers import random_orthonormal_family
+from helpers import count_eigh, random_orthonormal_family
 
 RT2 = math.sqrt(2.0)
 
@@ -261,18 +261,27 @@ def test_sandwich_pure_ensemble():
     assert rep.lower_ok and rep.upper_ok
 
 
-def test_sandwich_reuses_a_given_decomposition():
-    from qfock import eig_hermitian, machine_from_code, sw_lossless_code
+def test_sandwich_reuses_a_given_decomposition(monkeypatch):
+    # The code and the report read the one operator the ensemble keeps,
+    # so the pair decomposes once; an equal, separate ensemble agrees.
+    from qfock import eig_hermitian, entropy_of_spectrum, machine_from_code, sw_lossless_code
 
-    e = Ensemble([(0.7, basis_state("0")), (0.3, QString({"0": 0.6, "1": 0.8}))])
+    members = [(0.7, basis_state("0")), (0.3, QString({"0": 0.6, "1": 0.8}))]
+    e = Ensemble(members)
+    eigh = count_eigh(monkeypatch)
     rho = density_from_ensemble(e)
+    code = sw_lossless_code(rho)
+    shared = entropy_sandwich_report(e, MachineCatalog([machine_from_code(code)]))
+    assert len(eigh) == 1
+    assert density_from_ensemble(e) is rho
     dec = eig_hermitian(rho)
+    assert eig_hermitian(density_from_ensemble(e)) is dec
+    assert shared.entropy == entropy_of_spectrum(dec.eigenvalues)
+    other = Ensemble(members)
     fresh = entropy_sandwich_report(
-        e, MachineCatalog([machine_from_code(sw_lossless_code(rho))])
+        other, MachineCatalog([machine_from_code(sw_lossless_code(density_from_ensemble(other)))])
     )
-    shared = entropy_sandwich_report(
-        e, MachineCatalog([machine_from_code(sw_lossless_code(rho, dec))]), dec
-    )
+    assert len(eigh) == 2
     assert shared == fresh
     assert shared.entropy == pytest.approx(von_neumann_entropy(rho), abs=1e-12)
 

@@ -32,7 +32,7 @@ from qfock import (
 )
 from qfock.linalg import DIM_CAP
 
-from helpers import jacobi_eigh, partial_trace_by_widths
+from helpers import count_eigh, jacobi_eigh, partial_trace_by_widths
 
 RT2 = math.sqrt(2.0)
 
@@ -76,6 +76,17 @@ class TestDensityOperator:
         assert rho.matrix[0, 1] == 0.0
         assert eig_hermitian(rho).eigenvalues.tolist() == [0.5, 0.5]
 
+    def test_kept_decomposition_cannot_be_made_writeable(self):
+        # Every later caller shares the operator's decomposition, so its
+        # arrays, and their bases, stay read-only for good.
+        rho = dm([[0.7, 0.2j], [-0.2j, 0.3]])
+        dec = eig_hermitian(rho)
+        for array in (dec.eigenvalues, dec.eigenvectors):
+            for view in (array, array.base):
+                with pytest.raises(ValueError):
+                    view.flags.writeable = True
+        assert eig_hermitian(rho) is dec
+
 
 class TestEnsemble:
     def test_probability_checks(self):
@@ -97,6 +108,17 @@ class TestEnsemble:
             [(0.5, basis_state("0")), (0.5, basis_state("1"))]
         )
         assert rho.matrix == pytest.approx(np.eye(2) / 2)
+
+    def test_an_ensemble_keeps_its_density(self):
+        members = [(0.5, basis_state("0")), (0.5, QString({"0": 0.6, "1": 0.8}))]
+        e = Ensemble(members)
+        rho = density_from_ensemble(e)
+        assert density_from_ensemble(e) is rho
+        # a plain list of members is mixed anew each time, to equal bytes
+        again = density_from_ensemble(members)
+        assert again is not rho and again is not density_from_ensemble(members)
+        assert again.basis == rho.basis
+        assert again.matrix.tobytes() == rho.matrix.tobytes()
 
 
 # --- eigensolver ---------------------------------------------------------------
@@ -163,6 +185,24 @@ def eig_hermitian_spectrum(h):
 def test_eig_rejects_non_hermitian():
     with pytest.raises(NotHermitianError):
         eig_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [[[0.0, 1.0], [0.0, 0.0]], [[math.nan, 0.0], [0.0, 0.5]], [[0.5, 0.0], [math.nan, 0.5]]],
+    ids=["non-hermitian", "nan-diagonal", "nan-off-diagonal"],
+)
+def test_eig_of_an_array_is_checked_every_call(bad, monkeypatch):
+    # An array keeps nothing: each call checks it and decomposes it anew.
+    eigh = count_eigh(monkeypatch)
+    good = np.array([[0.6, 0.1], [0.1, 0.4]])
+    first, second = eig_hermitian(good), eig_hermitian(good)
+    assert first is not second and len(eigh) == 2
+    assert first.eigenvalues.tolist() == second.eigenvalues.tolist()
+    for _ in range(2):
+        with pytest.raises(NotHermitianError):
+            eig_hermitian(np.array(bad))
+    assert len(eigh) == 2
 
 
 def assert_matches_jacobi(h):

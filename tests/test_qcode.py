@@ -11,7 +11,9 @@ from qfock import (
     ArityMismatchError,
     CapExceededError,
     DensityOperator,
+    Ensemble,
     InvalidDeltaError,
+    MachineCatalog,
     NotOrthogonalError,
     NotOrthonormalError,
     OutOfSpanError,
@@ -21,20 +23,26 @@ from qfock import (
     basis_state,
     build_condensable_code,
     canonical_prefix_code,
+    density_from_ensemble,
     encode_qstring,
+    entropy_of_spectrum,
+    entropy_sandwich_report,
     inner_product,
     kraft_condensable_check,
     lossy_typical_projection,
+    machine_from_code,
     random_density,
     sw_lossless_code,
     sw_report,
+    von_neumann_entropy,
 )
 from qfock.linalg import eig_hermitian
-from qfock.qcode import EIG_FLOOR, _type_classes
+from qfock.qcode import EIG_FLOOR, _type_classes, eigen_ensemble
 
 from helpers import (
     LABEL_POOL,
     binomial_tail_success,
+    count_eigh,
     culprit,
     lossy_by_compositions,
     pairwise_gram_failure,
@@ -264,6 +272,31 @@ def test_sw_report_takes_no_pairwise_inner_products(monkeypatch):
     assert report.kraft <= 1.0
 
 
+@pytest.mark.parametrize("dim", [2, 5])
+def test_one_eigh_per_operator_across_the_library(dim, monkeypatch):
+    # Every spectral caller reads the decomposition the operator keeps,
+    # and the report reads the operator its ensemble keeps.
+    e = Ensemble(eigen_ensemble(random_density(dim, seed=dim)))
+    eigh = count_eigh(monkeypatch)
+    rho = density_from_ensemble(e)
+    dec = eig_hermitian(rho)
+    entropy = von_neumann_entropy(rho)
+    members = eigen_ensemble(rho)
+    code = sw_lossless_code(rho)
+    _, report = sw_report(rho)
+    sweep = [lossy_typical_projection(rho, n, 0.1) for n in (1, 4, 9, 12)]
+    sandwich = entropy_sandwich_report(e, MachineCatalog([machine_from_code(code)]))
+    assert eigh == [(dim, dim)]
+    assert eig_hermitian(rho) is dec
+    assert len(members) == len(code) == len(report.per_member)
+    assert {entropy, sandwich.entropy} | {r.entropy for r in sweep} == {
+        entropy_of_spectrum(dec.eigenvalues)
+    }
+    # an equal operator is another object, with a decomposition of its own
+    assert eig_hermitian(DensityOperator(rho.basis, rho.matrix)) is not dec
+    assert len(eigh) == 2
+
+
 # --- lossy typical projection ------------------------------------------------------
 
 def test_lossy_worked_example():
@@ -402,9 +435,8 @@ def spectra(draw):
 @example(lams=[0.25, 0.25, 0.25, 0.25], n=7, delta=0.3)
 def test_lossy_matches_the_composition_oracle_bit_for_bit(lams, n, delta):
     rho = diag_density(lams)
-    dec = eig_hermitian(rho)
-    rep = lossy_typical_projection(rho, n, delta, dec)
-    eig = [float(lam) for lam in dec.eigenvalues if lam >= EIG_FLOOR]
+    rep = lossy_typical_projection(rho, n, delta)
+    eig = [float(lam) for lam in eig_hermitian(rho).eigenvalues if lam >= EIG_FLOOR]
     classes, dimension, success = lossy_by_compositions(eig, n, rep.budget)
     assert (rep.kept_classes, rep.kept_dimension) == (classes, dimension)
     want = 1.0 if rep.trivial else min(success, 1.0)
