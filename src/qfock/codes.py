@@ -57,6 +57,131 @@ def ceil_neg_log2(x: float) -> int:
     return ceil_bits(-math.log2(x))
 
 
+#: A subtree is cut only when its least possible codeword length exceeds
+#: the budget by more than this many bits; see ``_type_classes``.
+PRUNE_SLACK = 1e-6
+
+
+def _type_classes(lams: Sequence[float], n: int, budget: int | None = None):
+    """Yield ``(multiplicity, log2 p)`` for the n-copy type classes of ``lams``.
+
+    A type class fixes how many of the n copies take each entry of the
+    descending spectrum ``lams``; ``p`` is the probability of one string
+    in it and ``multiplicity`` the number of such strings.  Its codeword
+    length is ``ceil_bits(-log2 p)``.  Classes come in lexicographic
+    order of their counts (ascending count of ``lams[0]``, then of
+    ``lams[1]``, ...), with ``log2 p`` summed left to right over the
+    parts, ``k * log2 lams[j]`` for part j.  A zero count adds a signed
+    zero, which leaves the sum unchanged bit for bit (it starts at +0.0
+    and so never reads -0.0).  Without a budget every class is yielded;
+    with an integer budget ``>= 0``, exactly those whose codeword length
+    fits it.  The entries must be at least 1e-12 (``qcode.EIG_FLOOR``)
+    and ``n <= 64``.  Memory stays O(d * n): a stack of at most n + 1
+    children per part.
+
+    The walk keeps a stack of partial classes, one per fixed prefix of
+    counts.  Three things keep it lean:
+
+    * **Two tables.**  The fold (below) runs once per class, so the
+      terms it adds, ``k * log2 lams[j]`` for the last two parts and
+      every k <= n, are built once per call and looked up.  They are
+      the same products, so every sum has the same bits.  An internal
+      child, which is pushed, keeps its one multiply: a table for every
+      part would grow memory to O(d * n) and save little.  A
+      multiplicity is a product of ``math.comb`` factors, taken only for
+      a child that is pushed or a class that fits; binomial rows would
+      cost O(n^2) per call, more than the few kept classes of a budgeted
+      walk use.
+    * **The fold.**  The children of a prefix that fixes all but the last
+      two counts are classes: the last part takes what is left.  Their
+      ``log2 p`` is summed inside the parent's loop, with ascending
+      count of the second-to-last part, and nothing is pushed.  A child
+      that leaves no copies to place is one class too; it is pushed as
+      finished, and popped with a fit test alone.
+    * **The fit test.**  A class fits when ``-logp - budget <= CEIL_SNAP``.
+      For an integer ``B = budget >= 0`` and ``x = -logp`` this is
+      exactly ``ceil_bits(x) <= B``, with no ``ceil_bits`` call.  A
+      negative x has length 0 and fits, and ``x - B < 0``.  For x >= 0
+      write ``r = round(x)``.  Sterbenz's lemma makes ``x - r`` exact (r
+      is 0, or x lies in ``[r - 1/2, r + 1/2]``, inside ``[r/2, 2r]``),
+      and ``x - B`` exact when B is 0 or x lies in ``[B/2, 2B]``.  Below
+      that range ``x - B < -1/2`` and above it ``x - B > 1``, and
+      rounding keeps the computed difference on the same side of
+      ``CEIL_SNAP``.  So both tests compare exact differences.  If x is
+      snapped (``|x - r| <= CEIL_SNAP``), ``ceil_bits(x) = r``: for
+      ``r <= B`` then ``x - B <= CEIL_SNAP``, and for ``r >= B + 1`` then
+      ``x - B >= 1 - CEIL_SNAP``.  Otherwise x is more than ``CEIL_SNAP``
+      from every integer, ``ceil_bits(x) <= B`` iff ``x <= B``, and
+      ``x - B`` is either at most 0 or above ``CEIL_SNAP``.  Without a
+      budget the test runs against ``math.inf`` and always passes.
+
+    **The cut.**  Once the first j+1 counts are fixed with r copies left,
+    each of them costs at least ``cut_j = max(-log2 lams[j+1], 0)`` bits,
+    so the prefix's partial length plus ``r * cut_j`` is a floor on every
+    class below it, and a child whose floor exceeds ``budget +
+    PRUNE_SLACK`` is cut.  The slack is safe: with n <= 64 copies and
+    entries of at least 1e-12, every sum has at most 64 nonzero terms
+    totalling at most 64 * 40 bits, so round-off moves the floor and the
+    final sum by under 1e-10 bits, and a class fits only if its sum is
+    at most ``budget + CEIL_SNAP`` (1e-9).  The floor is clamped at 0;
+    that overstates it only for an entry that rounds above 1, by at most
+    64 * log2(that entry), far below the slack for a trace-one operator.
+
+    **The break.**  Each internal child loop runs the count k of part j
+    from ``rem`` (the copies left) down and stops at the first cut.  In
+    exact arithmetic the floor of child k is ``rem * cut_j - L - k *
+    (cut_j + log2 lams[j])`` for the prefix's ``log2 p`` L, and ``cut_j +
+    log2 lams[j] >= log2 lams[j] - log2 lams[j+1] >= 0`` for a descending
+    spectrum, so the floor only grows as k falls.  A k skipped by the
+    break therefore has an exact floor above ``budget + PRUNE_SLACK``
+    minus round-off, and by the argument above no class below it fits.
+    The fold tests every class instead: with equal entries, ``log2 p``
+    is not monotone in k in floating point.
+    """
+    logs = [math.log2(lam) for lam in lams]
+    last = len(logs) - 1
+    top = math.inf if budget is None else budget
+    if not last:  # one part: a single class
+        logp = 0.0 + n * logs[0]
+        if -logp - top <= CEIL_SNAP:
+            yield 1, logp
+        return
+    limit = top + PRUNE_SLACK
+    counts = range(n + 1)
+    fold = last - 1
+    # head[k] = k * log2 lams[fold] and tail[n - r] = r * log2 lams[last],
+    # so the fold's k-th class adds head[k] and then tail[n - rem + k].
+    head = [k * logs[fold] for k in counts]
+    cuts = [max(-x, 0.0) for x in logs[1:last]]
+    tail = [r * logs[last] for r in reversed(counts)]
+    comb = math.comb
+    stack = [(0, n, 0.0, 1)]  # (part, copies left, log2 p so far, multiplicity)
+    push, pop = stack.append, stack.pop
+    while stack:
+        j, rem, logp, mult = pop()
+        if j == last:  # a class whose last counts are all zero
+            if -logp - top <= CEIL_SNAP:
+                yield mult, logp
+        elif j == fold:  # the children are classes; k ascends, so nothing is pushed
+            k = 0
+            for step, rest in zip(head, tail[n - rem:]):
+                lp = logp + step + rest
+                if -lp - top <= CEIL_SNAP:
+                    yield mult * comb(rem, k), lp
+                k += 1
+        else:
+            x, cut = logs[j], cuts[j]
+            part = logp + rem * x  # k = rem leaves nothing: one class
+            if -part > limit:  # every other child's floor is higher still
+                continue
+            push((last, 0, part, mult))
+            for k in range(rem - 1, -1, -1):  # pushed high to low, so popped k = 0 first
+                part = logp + k * x
+                if (rem - k) * cut - part > limit:
+                    break
+                push((j + 1, rem - k, part, mult * comb(rem, k)))
+
+
 def check_prefix_free(words: Iterable[str]) -> None:
     """Raise :class:`NotPrefixFreeError` if one word is a prefix of another."""
     ordered = sorted(words)

@@ -26,6 +26,7 @@ self-contained, checkable report:
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -175,14 +176,15 @@ def multicopy_report(alpha2: float, n: int) -> MultiCopyReport:
     ``Q(i) = C(n,i) a^i (1-a)^(n-i)``.  The literal per-string
     probabilities ``a^i (1-a)^(n-i)`` sum to ``z_norm <= 1``, so coding
     straight off them wastes ``-log2 z_norm`` bits against coding the
-    normalized sector distribution.
+    normalized sector distribution.  The copy count must be an integer:
+    a float or a string raises ``TypeError`` rather than being truncated.
     """
     alpha2 = float(alpha2)
     if not 0.0 < alpha2 < 1.0:
         raise InvalidAmplitudeError(
             f"squared amplitude must be strictly inside (0, 1), got {alpha2!r}"
         )
-    n = int(n)
+    n = operator.index(n)
     if not 1 <= n <= MULTICOPY_MAX_N:
         raise CapExceededError(f"copy count must be in 1..{MULTICOPY_MAX_N}, got {n}")
     beta2 = 1.0 - alpha2

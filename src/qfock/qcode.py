@@ -22,13 +22,16 @@ names the member or pair that a pairwise loop would have met first.
 
 ``lossy_typical_projection`` evaluates the induced fixed-budget lossy
 scheme on n copies analytically over type classes; nothing of size 2**n
-is ever materialized.  The classes are enumerated depth first, and a
-branch is cut as soon as no class below it can fit the qubit budget.
+is ever materialized.  The classes come from ``codes._type_classes``,
+a stack walk in lexicographic order that sums the last two parts of
+each class inside one loop, cuts every branch in which no class can fit
+the qubit budget any more, and keeps a class when its codeword fits.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -36,8 +39,8 @@ import numpy as np
 
 from .codes import (
     PrefixCode,
+    _type_classes,
     canonical_prefix_code,
-    ceil_bits,
     ceil_neg_log2,
     kraft_sum,
 )
@@ -54,10 +57,10 @@ from .linalg import DensityOperator, eig_hermitian, entropy_of_spectrum
 
 EIG_FLOOR = 1e-12
 # With a delta so large that nothing is pruned, enumerating the classes
-# at the cap takes 1.1-1.9 s for d <= 10 (d=8, n=20: 888,030 classes) and
-# 2.3-2.5 s at d=1447, n=2 (1,047,628 classes), 1.3-2.4 us per class on a
-# 2-vCPU VM.  The tests, demos and benchmark stay at or below (d=6, n=14),
-# 11,628 classes.
+# at the cap takes 0.36-0.63 s for d <= 10 (d=8, n=20: 888,030 classes)
+# and 0.9 s at d=1447, n=2 (1,047,628 classes), 0.44-0.86 us per class on
+# a 2-vCPU VM.  The tests, demos and benchmark stay at or below (d=6,
+# n=14), 11,628 classes.
 LOSSY_CLASS_CAP = 1 << 20
 
 
@@ -270,56 +273,6 @@ class LossyReport:
     trivial: bool
 
 
-#: A subtree is cut only when its least possible codeword length exceeds
-#: the budget by more than this many bits; see ``_type_classes``.
-PRUNE_SLACK = 1e-6
-
-
-def _type_classes(lams: Sequence[float], n: int, budget: int | None = None):
-    """Yield ``(multiplicity, log2 p, length)`` for n-copy type classes.
-
-    A type class fixes how many of the n copies take each eigenvalue of
-    the descending spectrum ``lams``; ``p`` is the probability of one
-    string in it, ``multiplicity`` the number of such strings and
-    ``length = ceil_bits(-log2 p)`` its codeword length.  Classes come
-    depth first in lexicographic order of their counts (ascending count
-    of ``lams[0]``, then of ``lams[1]``, ...), with ``log2 p`` summed
-    left to right over the nonzero counts.  Without a budget every
-    class is yielded; with one, exactly those whose length fits it.
-
-    Each copy still to place costs at least ``-log2 lams[j+1]`` bits once
-    the first j+1 counts are fixed, so a subtree whose partial length
-    plus that floor exceeds ``budget + PRUNE_SLACK`` holds no class that
-    fits.  The slack is safe: with n <= 64 copies and eigenvalues of at
-    least ``EIG_FLOOR``, every sum has at most 64 terms totalling at most
-    64 * 40 bits, so round-off moves the floor and the final sum by under
-    1e-10 bits, and a class fits only if its sum is at most
-    ``budget + CEIL_SNAP`` (1e-9, the snap in ``ceil_bits``).  The floor
-    is clamped at 0; that overstates it only for an eigenvalue that
-    rounds above 1, by at most 64 * log2(that eigenvalue), far below the
-    slack for a trace-one operator.  So no class that fits is ever cut.
-    """
-    logs = [math.log2(lam) for lam in lams]
-    last = len(logs) - 1
-    floor = [max(-x, 0.0) for x in logs[1:]]
-    limit = math.inf if budget is None else budget + PRUNE_SLACK
-    stack = [(0, n, 0.0, 1)]  # (part, copies left, log2 p so far, multiplicity)
-    while stack:
-        j, rem, logp, mult = stack.pop()
-        if j == last or not rem:  # one class left: the last part takes the rest
-            if rem:
-                logp += rem * logs[j]
-            length = ceil_bits(-logp)
-            if budget is None or length <= budget:
-                yield mult, logp, length
-            continue
-        step, cut = logs[j], floor[j]
-        for k in range(rem, -1, -1):  # pushed high to low, so popped k = 0 first
-            part = logp + k * step if k else logp
-            if (rem - k) * cut - part <= limit:
-                stack.append((j + 1, rem - k, part, mult * math.comb(rem, k)))
-
-
 def lossy_typical_projection(rho: DensityOperator, n: int, delta: float) -> LossyReport:
     """Project the blockwise-encoded n-copy source onto ``m`` qubits.
 
@@ -327,17 +280,19 @@ def lossy_typical_projection(rho: DensityOperator, n: int, delta: float) -> Loss
     ``ceil(-log2 p(string))``; the budget is ``m = ceil(n (S + delta))``
     qubits, and the success probability is the total weight of strings
     whose codeword fits.  Counting runs over type classes, so the cost
-    grows polynomially in n; the enumeration is depth first and skips
-    every subtree whose codeword lengths already exceed the budget.
+    grows polynomially in n; the walk (``codes._type_classes``) skips
+    every branch whose codeword lengths already exceed the budget.
 
     A budget of at least ``n log2 dim`` qubits covers even the raw,
     uncompressed block; that case is reported as trivial with success 1
     rather than treated as an error.  Sources with more than
     ``LOSSY_CLASS_CAP`` type classes are rejected before enumeration.
+    The copy count must be an integer: a float or a string raises
+    ``TypeError`` (``operator.index``) rather than being truncated.
     """
     if not 0.0 < delta < math.inf:  # also rejects NaN
         raise InvalidDeltaError(f"delta must be positive and finite, got {delta!r}")
-    n = int(n)
+    n = operator.index(n)
     if not 1 <= n <= 64:
         raise CapExceededError(f"copy count must be in 1..64, got {n}")
     eigenvalues = eig_hermitian(rho).eigenvalues
@@ -360,7 +315,7 @@ def lossy_typical_projection(rho: DensityOperator, n: int, delta: float) -> Loss
     kept_classes = 0
     kept_dimension = 0
     success = 0.0
-    for mult, logp, _ in _type_classes(lams, n, budget):
+    for mult, logp in _type_classes(lams, n, budget):
         kept_classes += 1
         kept_dimension += mult
         success += mult * (2.0 ** logp)

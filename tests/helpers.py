@@ -16,6 +16,7 @@ from qfock import (
     pair_decode,
     pair_encode,
 )
+from qfock.codes import PRUNE_SLACK, ceil_bits
 from qfock.complexity import DescriberMachine
 from qfock.errors import NoDescriberError, OutOfSpanError, QFockError
 from qfock.fock import check_bitstring, format_bits
@@ -315,6 +316,36 @@ def lossy_by_compositions(lams, n, budget):
             kept_dimension += mult
             success += mult * (2.0 ** logp)
     return kept_classes, kept_dimension, success
+
+
+def type_classes_by_stack(lams, n, budget=None):
+    """``(multiplicity, log2 p, length)`` per type class: the stack walk.
+
+    The type-class engine before its tables, fold and break: one stack
+    entry per node, a ``math.comb`` and ``ceil_bits`` per class, and
+    every child of a node tested against the cut.  It visits the classes
+    in the engine's order and sums each ``log2 p`` the same way, so the
+    engine must match it bit for bit.
+    """
+    logs = [math.log2(lam) for lam in lams]
+    last = len(logs) - 1
+    floor = [max(-x, 0.0) for x in logs[1:]]
+    limit = math.inf if budget is None else budget + PRUNE_SLACK
+    stack = [(0, n, 0.0, 1)]  # (part, copies left, log2 p so far, multiplicity)
+    while stack:
+        j, rem, logp, mult = stack.pop()
+        if j == last or not rem:  # one class left: the last part takes the rest
+            if rem:
+                logp += rem * logs[j]
+            length = ceil_bits(-logp)
+            if budget is None or length <= budget:
+                yield mult, logp, length
+            continue
+        step, cut = logs[j], floor[j]
+        for k in range(rem, -1, -1):  # pushed high to low, so popped k = 0 first
+            part = logp + k * step if k else logp
+            if (rem - k) * cut - part <= limit:
+                stack.append((j + 1, rem - k, part, mult * math.comb(rem, k)))
 
 
 def jacobi_eigh(matrix, tol=1e-12, max_sweeps=50):

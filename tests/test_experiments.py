@@ -187,6 +187,18 @@ def test_multicopy_validation():
         multicopy_report(0.5, 61)
 
 
+@pytest.mark.parametrize("n", [10.7, 7.9, 12.0, "12"])
+def test_multicopy_copy_count_must_be_an_integer(n):
+    with pytest.raises(TypeError):
+        multicopy_report(0.5, n)
+
+
+def test_multicopy_takes_a_numpy_integer_copy_count():
+    rep = multicopy_report(0.3, np.int64(12))
+    assert type(rep.n) is int
+    assert rep == multicopy_report(0.3, 12)
+
+
 # --- non-additivity witnesses ----------------------------------------------------------
 
 def test_nonadditivity_golden_block3():

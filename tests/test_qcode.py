@@ -37,7 +37,8 @@ from qfock import (
     von_neumann_entropy,
 )
 from qfock.linalg import eig_hermitian
-from qfock.qcode import EIG_FLOOR, _type_classes, eigen_ensemble
+from qfock.codes import CEIL_SNAP, _type_classes, ceil_bits
+from qfock.qcode import EIG_FLOOR, eigen_ensemble
 
 from helpers import (
     LABEL_POOL,
@@ -50,6 +51,7 @@ from helpers import (
     random_unitary,
     stretch_norm,
     tilted_columns,
+    type_classes_by_stack,
     unnormalized,
 )
 
@@ -387,6 +389,19 @@ def test_lossy_input_validation():
         lossy_typical_projection(rho, 65, 0.1)
 
 
+@pytest.mark.parametrize("n", [10.7, 7.9, 12.0, "12"])
+def test_lossy_copy_count_must_be_an_integer(n):
+    with pytest.raises(TypeError):
+        lossy_typical_projection(diag_density([0.9, 0.1]), n, 0.1)
+
+
+def test_lossy_takes_a_numpy_integer_copy_count():
+    rho = diag_density([0.9, 0.1])
+    rep = lossy_typical_projection(rho, np.int64(12), 0.1)
+    assert type(rep.n) is int
+    assert rep == lossy_typical_projection(rho, 12, 0.1)
+
+
 def test_lossy_rejects_sources_over_the_class_cap():
     # d=8, n=64 has C(71, 7) = 1,329,890,705 type classes
     rho = diag_density([0.3, 0.2, 0.1, 0.1, 0.1, 0.1, 0.05, 0.05])
@@ -449,6 +464,74 @@ def test_type_classes_without_a_budget_cover_every_string(lams, n, budget):
     d = len(lams)
     every = list(_type_classes(lams, n))
     assert len(every) == math.comb(n + d - 1, d - 1)
-    assert sum(mult for mult, _, _ in every) == d**n
-    fitting = [c for c in every if c[2] <= budget]
+    assert sum(mult for mult, _ in every) == d**n
+    fitting = [c for c in every if ceil_bits(-c[1]) <= budget]
     assert list(_type_classes(lams, n, budget)) == fitting
+
+
+@st.composite
+def engine_cases(draw):
+    """A spectrum, up to 64 copies for d <= 2 (14 otherwise), and a budget
+    that is absent or at most one bit above the longest codeword."""
+    lams = draw(spectra())
+    n = draw(st.integers(0, 64 if len(lams) <= 2 else 14))
+    longest = math.ceil(n * -math.log2(lams[-1]))
+    return lams, n, draw(st.none() | st.integers(0, longest + 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=engine_cases())
+@example(case=([1.0], 64, None))
+@example(case=([0.5, 0.5], 64, 32))
+@example(case=([0.4, 0.3, 0.3], 14, 24))
+@example(case=([0.25, 0.25, 0.25, 0.25], 14, 28))
+@example(case=([0.5, 0.25, 0.125, 0.0625, 0.0625], 12, 21))
+def test_type_class_engine_matches_the_stack_walk(case):
+    lams, n, budget = case
+    old = list(type_classes_by_stack(lams, n, budget))
+    new = list(_type_classes(lams, n, budget))
+    assert [(mult, logp.hex()) for mult, logp in new] == [
+        (mult, logp.hex()) for mult, logp, _ in old
+    ]
+    assert [ceil_bits(-logp) for _, logp in new] == [length for _, _, length in old]
+
+
+def _entries_near(x, count=4):
+    """Entries whose ``-log2`` are the ``count`` values nearest ``x`` on
+    each side that ``math.log2`` of a float can give, keyed by that value.
+
+    Above about 3 bits every float is such a value, so these are x and its
+    ``math.nextafter`` neighbours; nearer 0 they lie a few ulps apart.
+    """
+    found = {}
+    for toward in (0.0, 1.0):  # a smaller entry gives a larger -log2
+        lam = 2.0**-x
+        seen = set()
+        while len(seen) < count:
+            value = -math.log2(lam)
+            seen.add(value)
+            found.setdefault(value, lam)
+            lam = math.nextafter(lam, toward)
+    return found
+
+
+@pytest.mark.parametrize("budget", [0, 1, 3, 7, 30])
+def test_the_fit_rule_is_ceil_bits_at_its_edges(budget):
+    # x = -log2 p next to the snap edge B + CEIL_SNAP, then x = B + 1/2,
+    # x = B exactly and x < 0.  One copy over d equal entries gives d
+    # classes whose log2 p is log2 of the entry: d = 1, 2 and 3 reach the
+    # single-part case, the fold and a class pushed as finished.
+    near = _entries_near(budget + CEIL_SNAP)
+    assert min(near) < budget + CEIL_SNAP < max(near)
+    # the edge lies inside the window
+    assert {ceil_bits(x) <= budget for x in near} == {True, False}
+    entries = [*near.values(), 2.0 ** -(budget + 0.5), 2.0**-budget, 2.0**0.75]
+    for entry in entries:
+        logp = math.log2(entry)
+        want = ceil_bits(-logp) <= budget
+        for d in (1, 2, 3):
+            got = list(_type_classes([entry] * d, 1, budget))
+            assert got == ([(1, logp)] * d if want else []), (entry, d)
+    assert ceil_bits(-math.log2(2.0 ** -(budget + 0.5))) == budget + 1
+    assert ceil_bits(-math.log2(2.0**-budget)) == budget
+    assert ceil_bits(-math.log2(2.0**0.75)) == 0
