@@ -44,6 +44,7 @@ from .errors import FormatError, QFockError
 from .fock import (
     _READS,
     EPS_TOKEN,
+    NORM_TOL,
     average_length,
     base_length,
     dump_qstring,
@@ -57,14 +58,18 @@ from .fock import (
     write_text,
 )
 from .codes import (
+    PROB_TOL,
     PrefixCode,
     code_table_text,
     expected_length,
+    in_entropy_window,
+    kraft_feasible,
     kraft_sum,
     shannon_code,
     shannon_entropy,
 )
 from .complexity import (
+    WEIGHT_SUM_TOL,
     ComplexityEstimate,
     Describer,
     MachineCatalog,
@@ -297,13 +302,16 @@ def _cmd_selfdelim(args):
         write_qstring_file(args.out_state, out)
     lin, lout = average_length(state), average_length(out)
     result = {"text": dump_qstring(out), "average_length_in": lin, "average_length_out": lout}
-    return (result, {"length_law": abs(lout - (2.0 * lin + 1.0)) <= 1e-9})
+    # lout - (2 lin + 1) is the squared norm of the state minus 1
+    return (result, {"length_law": abs(lout - (2.0 * lin + 1.0)) <= NORM_TOL})
 
 
 @_command("entropy", "von Neumann entropy of an ensemble's density operator", _RHO)
 def _cmd_entropy(args):
+    from .linalg import EIG_CLAMP
+
     result = _spectrum_fields(_density(args.rho))
-    return (result, {"psd": min(result["eigenvalues"]) >= -1e-9})
+    return (result, {"psd": min(result["eigenvalues"]) >= -EIG_CLAMP})
 
 
 @_command("shannon", "Shannon entropy of a probability vector", _P)
@@ -321,8 +329,8 @@ def _cmd_code(args):
     return (
         {**_code_fields(code), "expected_length": e, "entropy": h},
         {
-            "kraft_feasible": kraft_sum(len(w) for w in code.table.values()) <= 1.0,
-            "sandwich": h - 1e-9 <= e < h + 1.0,
+            "kraft_feasible": kraft_feasible(len(w) for w in code.table.values()),
+            "sandwich": in_entropy_window(e, h),
         },
     )
 
@@ -334,8 +342,10 @@ def _cmd_kraft(args):
         raise _UsageError("no lengths given")
     if min(lengths) < 0:
         raise _UsageError(f"negative length in {args.lengths!r}")
-    total = kraft_sum(lengths)
-    return ({"kraft_sum": total, "count": len(lengths)}, {"feasible": total <= 1.0})
+    return (
+        {"kraft_sum": kraft_sum(lengths), "count": len(lengths)},
+        {"feasible": kraft_feasible(lengths)},
+    )
 
 
 @_command("sw", "lossless code of a density operator", _RHO)
@@ -346,10 +356,8 @@ def _cmd_sw(args):
     return (
         {**_code_fields(code.words), **dataclasses.asdict(report)},
         {
-            "kraft_feasible": report.kraft <= 1.0,
-            "sandwich": report.entropy - 1e-9
-            <= report.expected_avg_length
-            <= report.entropy + 1.0,
+            "kraft_feasible": kraft_feasible(code.words.lengths().values()),
+            "sandwich": in_entropy_window(report.expected_avg_length, report.entropy),
         },
     )
 
@@ -405,7 +413,7 @@ def _cmd_complexity(args):
     est = machine_complexity(machine, state)
     return (
         {"value": est.value, "decomposition": _decomposition(est)},
-        {"weights_sum_to_one": abs(sum(est.decomposition.values()) - 1.0) <= 1e-6},
+        {"weights_sum_to_one": abs(sum(est.decomposition.values()) - 1.0) <= WEIGHT_SUM_TOL},
     )
 
 
@@ -472,9 +480,11 @@ def _cmd_multicopy(args):
     return (
         dataclasses.asdict(rep),
         {
-            "weights_sum_to_one": abs(sum(rep.weights) - 1.0) <= 1e-9,
-            "raw_kraft_feasible": kraft_sum(rep.raw_lengths) <= 1.0 + 1e-12,
-            "normalized_not_longer": rep.expected_normalized <= rep.expected_raw + 1e-12,
+            "weights_sum_to_one": abs(sum(rep.weights) - 1.0) <= PROB_TOL,
+            "raw_kraft_feasible": kraft_feasible(rep.raw_lengths),
+            # each normalized length is at most the raw one, summed with
+            # the same weights in the same order, so no slack is needed
+            "normalized_not_longer": rep.expected_normalized <= rep.expected_raw,
         },
     )
 
@@ -546,7 +556,7 @@ def _parse_ineq_spec(text: str, n_parties: int) -> InequalitySpec:
     _opt("--rho"), _opt("--dims"), _opt("--factor", action="append"),
 )
 def _cmd_ineq(args):
-    from .experiments import inequality_check, product_state
+    from .experiments import ROUNDOFF_TOL, inequality_check, product_state
 
     if args.mode == "joint":
         if args.rho is None or args.dims is None:
@@ -565,7 +575,7 @@ def _cmd_ineq(args):
     )
     return (
         {"value": value, "mode": "product", "joint_value": joint_value},
-        {"paths_agree": abs(value - joint_value) <= 1e-9},
+        {"paths_agree": abs(value - joint_value) <= ROUNDOFF_TOL},
     )
 
 
@@ -579,7 +589,7 @@ def _cmd_randrho(args):
     if args.seed < 0:
         raise _UsageError(f"randrho needs a non-negative --seed, got {args.seed}")
     from .experiments import random_density
-    from .linalg import Ensemble, dump_ensemble, write_ensemble_file
+    from .linalg import TRACE_TOL, Ensemble, dump_ensemble, write_ensemble_file
     from .qcode import eigen_ensemble
 
     rho = random_density(args.dim, args.seed)
@@ -589,7 +599,7 @@ def _cmd_randrho(args):
     result = _spectrum_fields(rho)
     return (
         {**result, "ensemble_text": dump_ensemble(ens)},
-        {"trace_one": abs(sum(result["eigenvalues"]) - 1.0) <= 1e-9},
+        {"trace_one": abs(sum(result["eigenvalues"]) - 1.0) <= TRACE_TOL},
     )
 
 

@@ -2,6 +2,11 @@
 
 Kraft sums are evaluated exactly, as one integer numerator over a power
 of two, so feasibility checks at the ``<= 1`` boundary never wobble.
+The two bounds that prefix codes meet each have one predicate here, and
+every report reads its check from it: :func:`kraft_feasible`, Kraft's
+inequality decided on the exact sum, and :func:`in_entropy_window`, the
+source-coding window ``H - CEIL_SNAP <= E < H + 1`` of a code whose
+lengths are ``ceil_bits(-log2 p)``.
 Codeword assignment is canonical: symbols are processed shortest length
 first (ties broken by source index) and each receives the
 lexicographically smallest codeword that keeps the table prefix-free.
@@ -287,6 +292,32 @@ def kraft_sum_exact(lengths) -> Fraction:
 def kraft_sum(lengths) -> float:
     """Sum of 2**-l over the given codeword lengths, exactly, as a float."""
     return float(kraft_sum_exact(lengths))
+
+
+def kraft_feasible(lengths) -> bool:
+    """Kraft's inequality ``sum 2**-l <= 1``, decided on
+    :func:`kraft_sum_exact` with no slack.
+
+    A float sum rounds ``1 + 2**-L`` to 1 for L > 52, so it would pass
+    lengths that no prefix code realizes.
+    """
+    return kraft_sum_exact(lengths) <= 1
+
+
+def in_entropy_window(expected: float, entropy: float) -> bool:
+    """The source-coding window ``H - CEIL_SNAP <= E < H + 1``.
+
+    ``E`` is the expected length of a code whose codeword for a symbol
+    of probability p has length ``ceil_bits(-log2 p)``, and ``H`` the
+    entropy of those probabilities, which sum to 1.  With ``x = -log2 p``, a length is
+    below x only where ``ceil_bits`` snaps x down to an integer, and
+    then by at most ``CEIL_SNAP``; so ``E >= H - CEIL_SNAP``, which is
+    the lower slack.  A length above x is one that did not snap, so
+    ``ceil_bits(x) - x < 1 - CEIL_SNAP`` and ``E < H + 1`` holds with
+    that margin to spare: the upper bound is strict.  Both margins are
+    far above the round-off of the float sums ``E`` and ``H``.
+    """
+    return entropy - CEIL_SNAP <= expected < entropy + 1.0
 
 
 def canonical_prefix_code(lengths: Sequence[int]) -> PrefixCode:

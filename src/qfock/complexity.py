@@ -85,8 +85,13 @@ from .fock import (
 if TYPE_CHECKING:  # qcode loads numpy; only machine_from_code's annotation needs it
     from .qcode import CondensableCode
 
-OVERLAP_FLOOR = 1e-8
 IDENTITY_MAX_LEN = 20
+
+#: How far the weights of a decomposition may sum from 1 in the CLI's
+#: ``weights_sum_to_one`` check.  They sum to the squared norm the
+#: machine captures, which ``SPAN_TOL`` bounds, less the weights at or
+#: below ``AMP_FLOOR`` that a tally drops.
+WEIGHT_SUM_TOL = 1e-6
 
 
 def index_cost(i: int) -> int:
@@ -305,13 +310,7 @@ def machine_complexity(machine: Describer, state: QString) -> ComplexityEstimate
 
 def base_length_complexity(machine: Describer, state: QString) -> int:
     """Longest program contributing to the forced decomposition."""
-    est = machine_complexity(machine, state)
-    lengths = [
-        len(p) for p, w in est.decomposition.items() if math.sqrt(w) > OVERLAP_FLOOR
-    ]
-    if not lengths:
-        raise OutOfSpanError("no program carries weight above the floor")
-    return max(lengths)
+    return max(len(p) for p in machine_complexity(machine, state).decomposition)
 
 
 class MachineCatalog:

@@ -58,7 +58,10 @@ RANDOM_DIM_MIN = 2
 RANDOM_DIM_MAX = 64
 MULTICOPY_MAX_N = 60
 BOUND_TOL = 1e-6
-GAP_TOL = 1e-9
+#: Round-off allowed where two float computations of one value meet: the
+#: nonadditivity gaps against k, the sandwich bounds, and the CLI's
+#: ``ineq`` product-mode value against its joint cross-check.
+ROUNDOFF_TOL = 1e-9
 
 
 def random_density(dim: int, seed: int) -> DensityOperator:
@@ -247,7 +250,7 @@ def nonadditivity_search(
     |n*>, the concentrated gap compares the cost of |n*> against the
     phi average, and the diluted gap compares the phi average against
     the cost of |0>; each direction succeeds when its gap exceeds k by
-    more than ``GAP_TOL``, so a tie cannot be promoted by float noise.
+    more than ``ROUNDOFF_TOL``, so a tie cannot be promoted by float noise.
     """
     if m_block < 1:
         raise CapExceededError(f"m_block must be at least 1, got {m_block}")
@@ -288,8 +291,8 @@ def nonadditivity_search(
         phi_average=float(phi_avg),
         gap_concentrated=float(gap_conc),
         gap_diluted=float(gap_dil),
-        success_concentrated=bool(gap_conc > k + GAP_TOL),
-        success_diluted=bool(gap_dil > k + GAP_TOL),
+        success_concentrated=bool(gap_conc > k + ROUNDOFF_TOL),
+        success_diluted=bool(gap_dil > k + ROUNDOFF_TOL),
     )
 
 
@@ -319,7 +322,8 @@ def entropy_sandwich_report(e: Ensemble, cat: MachineCatalog) -> SandwichReport:
     largest index cost in the catalog; whenever some machine in the
     catalog realizes a lossless code for the ensemble's density
     operator, the expectation satisfies
-    ``S(rho) <= E <= S(rho) + 1 + c``.
+    ``S(rho) <= E <= S(rho) + 1 + c``, each side checked within
+    ``ROUNDOFF_TOL``.
     """
     from .linalg import density_from_ensemble, von_neumann_entropy
 
@@ -344,8 +348,8 @@ def entropy_sandwich_report(e: Ensemble, cat: MachineCatalog) -> SandwichReport:
         expected_complexity=float(expected),
         overhead=overhead,
         per_member=tuple(per_member),
-        lower_ok=bool(expected >= entropy - 1e-9),
-        upper_ok=bool(expected <= entropy + 1.0 + overhead + 1e-9),
+        lower_ok=bool(expected >= entropy - ROUNDOFF_TOL),
+        upper_ok=bool(expected <= entropy + 1.0 + overhead + ROUNDOFF_TOL),
     )
 
 

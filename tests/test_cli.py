@@ -1,8 +1,10 @@
 import argparse
 import ast
 import builtins
+import dataclasses
 import hashlib
 import json
+import math
 import os
 from pathlib import Path
 
@@ -10,8 +12,11 @@ import pytest
 
 import qfock.cli
 import qfock.complexity
-from qfock import load_ensemble
+from qfock import ComplexityEstimate, load_ensemble
 from qfock.cli import main
+from qfock.codes import CEIL_SNAP, PROB_TOL
+from qfock.complexity import WEIGHT_SUM_TOL
+from qfock.fock import NORM_TOL
 
 from helpers import count_eigh
 
@@ -163,6 +168,17 @@ def test_kraft_length_over_the_cap_is_a_domain_error(capsys):
         "type": "LengthCapExceededError",
         "message": f"codeword length {LENGTH_CAP + 1} exceeds cap {LENGTH_CAP}",
     }
+
+
+@pytest.mark.parametrize(
+    "lengths, feasible",
+    [("1,1", True), ("1,2,2", True), ("1,1,60", False)],
+)
+def test_kraft_feasibility_is_decided_exactly(lengths, feasible, capsys):
+    # 1,1,60 sums to 1 + 2**-60, which the printed float rounds to 1
+    rep = run_json(capsys, ["kraft", "--lengths", lengths])
+    assert rep["result"]["kraft_sum"] == 1.0
+    assert rep["checks"]["feasible"] is feasible
 
 
 def test_sw(workdir, capsys):
@@ -593,6 +609,125 @@ def test_randrho_phase_convention(capsys):
         assert peak.imag == 0.0 and peak.real > 0.0
 
 
+# --- each check against its bound -------------------------------------------------
+# A flag with a tolerance holds half a tolerance past its bound and fails
+# two tolerances past it; an exact flag fails one step past its bound.
+
+TWO_SIDED = [(0.5, True), (-0.5, True), (2.0, False), (-2.0, False)]
+
+
+@pytest.mark.parametrize("scale, holds", TWO_SIDED)
+def test_length_law_flips_at_twice_norm_tol(scale, holds, workdir, capsys, monkeypatch):
+    lengths = iter([1.0, 3.0 + scale * NORM_TOL])  # the input's, then the output's
+    monkeypatch.setattr(qfock.cli, "average_length", lambda state: next(lengths))
+    rep = run_json(capsys, ["selfdelim", "--state", workdir / "s.qstr"])
+    assert rep["checks"]["length_law"] is holds
+
+
+def _spectrum(eigenvalues):
+    """A stand-in for ``cli._spectrum_fields`` that reports ``eigenvalues``."""
+    return lambda rho: {"dim": len(eigenvalues), "entropy": 0.0, "eigenvalues": eigenvalues}
+
+
+@pytest.mark.parametrize("scale, holds", [(-0.5, True), (-2.0, False), (2.0, True)])
+def test_psd_flips_at_twice_eig_clamp(scale, holds, workdir, capsys, monkeypatch):
+    from qfock.linalg import EIG_CLAMP
+
+    monkeypatch.setattr(qfock.cli, "_spectrum_fields", _spectrum([1.0, scale * EIG_CLAMP]))
+    rep = run_json(capsys, ["entropy", "--rho", workdir / "dyadic.ens"])
+    assert rep["checks"]["psd"] is holds
+
+
+@pytest.mark.parametrize("scale, holds", TWO_SIDED)
+def test_trace_one_flips_at_twice_trace_tol(scale, holds, capsys, monkeypatch):
+    from qfock.linalg import TRACE_TOL
+
+    monkeypatch.setattr(qfock.cli, "_spectrum_fields", _spectrum([0.5, 0.5 + scale * TRACE_TOL]))
+    rep = run_json(capsys, ["randrho", "--dim", "2"])
+    assert rep["checks"]["trace_one"] is holds
+
+
+@pytest.mark.parametrize("scale, holds", TWO_SIDED)
+def test_complexity_weights_flip_at_twice_their_tol(scale, holds, workdir, capsys, monkeypatch):
+    weights = {"0": 0.5, "10": 0.5 + scale * WEIGHT_SUM_TOL}
+    monkeypatch.setattr(
+        qfock.cli, "machine_complexity",
+        lambda machine, state: ComplexityEstimate(1.5, None, weights),
+    )
+    rep = run_json(capsys, ["complexity", "--machine", workdir / "m.qm", "--state", workdir / "s.qstr"])
+    assert rep["checks"]["weights_sum_to_one"] is holds
+
+
+@pytest.mark.parametrize(
+    "fields, flag, holds",
+    [
+        *(({"weights": (0.5, 0.5 + scale * PROB_TOL)}, "weights_sum_to_one", holds)
+          for scale, holds in TWO_SIDED),
+        ({"raw_lengths": (1, 1)}, "raw_kraft_feasible", True),
+        ({"raw_lengths": (1, 1, 60)}, "raw_kraft_feasible", False),
+        ({"expected_normalized": 1.0}, "normalized_not_longer", True),
+        ({"expected_normalized": math.nextafter(1.0, 2.0)}, "normalized_not_longer", False),
+    ],
+)
+def test_multicopy_checks_flip_at_their_bounds(fields, flag, holds, capsys, monkeypatch):
+    from qfock import experiments
+
+    real = experiments.multicopy_report
+    report = real(0.5, 1)  # weights (0.5, 0.5), raw lengths (1, 1), both expectations 1
+    assert report.expected_raw == 1.0
+    monkeypatch.setattr(
+        experiments, "multicopy_report",
+        lambda alpha2, n: dataclasses.replace(real(alpha2, n), **fields),
+    )
+    rep = run_json(capsys, ["multicopy", "--alpha2", "0.5", "--n", "1"])
+    assert rep["checks"][flag] is holds
+
+
+@pytest.mark.parametrize(
+    "offset, holds",
+    [(-2 * CEIL_SNAP, False), (-CEIL_SNAP / 2, True), (0.0, True),
+     (1.0 - 2 * CEIL_SNAP, True), (1.0, False)],
+)
+@pytest.mark.parametrize("command", ["code", "sw"])
+def test_sandwich_flag_reads_the_entropy_window(command, offset, holds, workdir, capsys, monkeypatch):
+    # E = S + 1 exactly is outside the window for both commands
+    if command == "code":
+        monkeypatch.setattr(
+            qfock.cli, "expected_length", lambda code, p: qfock.cli.shannon_entropy(p) + offset
+        )
+        argv = ["code", "--p", "0.5,0.25,0.25"]
+    else:
+        from qfock import qcode
+
+        real = qcode.sw_report
+
+        def sw_report(rho):
+            code, report = real(rho)
+            return code, dataclasses.replace(
+                report, expected_avg_length=report.entropy + offset
+            )
+
+        monkeypatch.setattr(qcode, "sw_report", sw_report)
+        argv = ["sw", "--rho", workdir / "dyadic.ens"]
+    assert run_json(capsys, argv)["checks"]["sandwich"] is holds
+
+
+@pytest.mark.parametrize("scale, holds", TWO_SIDED)
+def test_paths_agree_flips_at_twice_roundoff_tol(scale, holds, workdir, capsys, monkeypatch):
+    from qfock import experiments
+    from qfock.experiments import ROUNDOFF_TOL
+
+    def inequality_check(spec, rho, dims=None, *, mode):
+        return 1.0 if mode == "product" else 1.0 + scale * ROUNDOFF_TOL
+
+    monkeypatch.setattr(experiments, "inequality_check", inequality_check)
+    rep = run_json(capsys, [
+        "ineq", "--spec", "1=1;2=1", "--mode", "product",
+        "--factor", workdir / "rho09.ens", "--factor", workdir / "dyadic.ens",
+    ])
+    assert rep["checks"]["paths_agree"] is holds
+
+
 # --- formats, sinks, exit codes ---------------------------------------------------
 
 def test_out_flag_writes_file(workdir, capsys):
@@ -952,3 +1087,60 @@ def test_criterion_10_and_the_cli_benchmark_run_the_same_invocations():
     acceptance = _criterion_10_invocations()
     assert len(acceptance) == 22
     assert acceptance == _bench_invocations()
+
+
+CRITERION_10_FILES = {
+    "s.qstr": "0 0.6 0.0\n11 0.8 0.0\n",
+    "plus.qstr": PLUS,
+    "rho.ens": "0.9 { 0:1,0 }\n0.1 { 1:1,0 }\n",
+    "dyadic.ens": "0.5 { 0:1,0 }\n0.25 { 10:1,0 }\n0.25 { 11:1,0 }\n",
+    "bell.ens": "1.0 { 00:0.70710678118654752,0 ; 11:0.70710678118654752,0 }\n",
+    "m.qm": "prefix: true\n0 -> { 0:1,0 }\n10 -> { 11:1,0 }\n",
+}
+
+# The checks of each criterion-10 invocation, in the order of the list.
+CRITERION_10_CHECKS = [
+    ("avglen", set()),
+    ("baselen", set()),
+    ("pair", {"roundtrip"}),
+    ("selfdelim", {"length_law"}),
+    ("entropy", {"psd"}),
+    ("shannon", set()),
+    ("code", {"kraft_feasible", "sandwich"}),
+    ("kraft", {"feasible"}),
+    ("sw", {"kraft_feasible", "sandwich"}),
+    ("encode", set()),
+    ("lossy", {"all_success_le_one"}),
+    ("lossy", {"all_success_le_one"}),
+    ("complexity", {"weights_sum_to_one"}),
+    ("universal", set()),
+    ("kq", set()),
+    ("incompress", {"bound_respected"}),
+    ("multicopy", {"weights_sum_to_one", "raw_kraft_feasible", "normalized_not_longer"}),
+    ("multicopy", {"weights_sum_to_one", "raw_kraft_feasible", "normalized_not_longer"}),
+    ("nonadd", {"concentrated_gap_exceeds_k", "diluted_gap_exceeds_k"}),
+    ("sandwich", {"lower", "upper"}),
+    ("ineq", set()),
+    ("randrho", {"trace_one"}),
+]
+
+
+@pytest.mark.parametrize(
+    "k", range(len(CRITERION_10_CHECKS)),
+    ids=[f"{k}-{name}" for k, (name, _) in enumerate(CRITERION_10_CHECKS)],
+)
+def test_criterion_10_checks_are_pinned(k, tmp_path, capsys, monkeypatch):
+    # Every flag of every criterion-10 invocation, by name, and each one
+    # true on these inputs.  A csv table carries no checks, so a csv
+    # invocation is read as JSON.
+    invocations = _criterion_10_invocations()
+    assert len(invocations) == len(CRITERION_10_CHECKS)
+    name, keys = CRITERION_10_CHECKS[k]
+    argv = list(invocations[k])
+    assert argv[0] == name
+    if argv[-2:] == ["--format", "csv"]:
+        argv = argv[:-2]
+    for file_name, text in CRITERION_10_FILES.items():
+        (tmp_path / file_name).write_text(text)
+    monkeypatch.chdir(tmp_path)
+    assert run_json(capsys, argv)["checks"] == dict.fromkeys(keys, True)

@@ -20,6 +20,7 @@ from qfock import (
     shannon_code,
     shannon_entropy,
 )
+from qfock.codes import CEIL_SNAP, in_entropy_window, kraft_feasible
 from qfock.fock import LENGTH_CAP
 
 from helpers import kraft_by_fractions
@@ -127,6 +128,33 @@ def test_kraft_sum_exact_length_cap():
         kraft_sum_exact([-1, LENGTH_CAP + 1])
     with pytest.raises(LengthCapExceededError):
         canonical_prefix_code([1, LENGTH_CAP + 1])
+
+
+@pytest.mark.parametrize("top", [53, 60, 1000])
+def test_kraft_feasible_is_exact_at_the_boundary(top):
+    # 1/2 + 1/4 + ... + 2**-top + 2**-top is exactly 1; one more codeword
+    # of length top (or 1, 1, top) is 1 + 2**-top, which a float sum
+    # rounds back to 1.
+    exact_one = [*range(1, top + 1), top]
+    assert kraft_sum_exact(exact_one) == 1 and kraft_feasible(exact_one)
+    for over in ([*exact_one, top], [1, 1, top]):
+        assert kraft_sum_exact(over) == 1 + Fraction(1, 1 << top)
+        assert kraft_sum(over) == 1.0
+        assert not kraft_feasible(over)
+    assert kraft_feasible([1, 1]) and kraft_feasible([1, 2, 2])
+    assert kraft_feasible(iter([1, 2, 2]))
+
+
+@pytest.mark.parametrize("h", [0.0, 1.5, 7.25])
+def test_entropy_window_flips_at_its_bounds(h):
+    # lower bound h - CEIL_SNAP: true half a slack below h, false two
+    # slacks below; upper bound h + 1 is strict, with no slack
+    assert in_entropy_window(h, h)
+    assert in_entropy_window(h - CEIL_SNAP / 2, h)
+    assert not in_entropy_window(h - 2 * CEIL_SNAP, h)
+    assert in_entropy_window(h + 1.0 - 2 * CEIL_SNAP, h)
+    assert not in_entropy_window(h + 1.0, h)
+    assert not in_entropy_window(h + 1.0 + 2 * CEIL_SNAP, h)
 
 
 def test_canonical_assignment_dyadic():

@@ -29,8 +29,9 @@ from qfock import (
     tensor_product,
     von_neumann_entropy,
 )
-from qfock.complexity import DescriberMachine, IdentityMachine, MachineCatalog
-from qfock.experiments import RANDOM_DIM_MAX, RANDOM_DIM_MIN
+import qfock.experiments
+from qfock.complexity import ComplexityEstimate, DescriberMachine, IdentityMachine, MachineCatalog
+from qfock.experiments import RANDOM_DIM_MAX, RANDOM_DIM_MIN, ROUNDOFF_TOL
 
 from helpers import count_eigh, random_orthonormal_family
 
@@ -221,6 +222,17 @@ def test_nonadditivity_gap_grows_with_block(m_block):
     assert rep.success_concentrated == (m_block > 1)
 
 
+@pytest.mark.parametrize("scale, succeeds", [(-2.0, True), (-0.5, False), (2.0, False)])
+def test_nonadditivity_flags_flip_at_twice_roundoff_tol(scale, succeeds):
+    # a gap succeeds when it exceeds k by more than ROUNDOFF_TOL
+    gaps = nonadditivity_search(3, sd_catalog(5), 1.0)
+    assert gaps.gap_concentrated == pytest.approx(3.0, rel=0, abs=1e-14)
+    assert gaps.gap_diluted == pytest.approx(3.0, rel=0, abs=1e-14)
+    rep = nonadditivity_search(3, sd_catalog(5), 3.0 + scale * ROUNDOFF_TOL)
+    assert rep.success_concentrated is succeeds
+    assert rep.success_diluted is succeeds
+
+
 def test_nonadditivity_catalog_too_small():
     with pytest.raises(BlockTooLargeForCatalogError):
         nonadditivity_search(6, sd_catalog(3), 1.0)
@@ -296,6 +308,29 @@ def test_sandwich_reuses_a_given_decomposition(monkeypatch):
     assert len(eigh) == 2
     assert shared == fresh
     assert shared.entropy == pytest.approx(von_neumann_entropy(rho), abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "side, scale, lower, upper",
+    [("lower", -0.5, True, True), ("lower", -2.0, False, True),
+     ("upper", 0.5, True, True), ("upper", 2.0, True, False)],
+)
+def test_sandwich_flags_flip_at_twice_roundoff_tol(side, scale, lower, upper, monkeypatch):
+    # every member costs the same value, so the expectation is that value
+    from qfock import machine_from_code, sw_lossless_code
+
+    e = dyadic_ensemble()
+    cat = MachineCatalog([machine_from_code(sw_lossless_code(density_from_ensemble(e)))])
+    exact = entropy_sandwich_report(e, cat)
+    bound = exact.entropy if side == "lower" else exact.entropy + 1.0 + exact.overhead
+    value = bound + scale * ROUNDOFF_TOL
+    monkeypatch.setattr(
+        qfock.experiments, "universal_complexity",
+        lambda catalog, state: ComplexityEstimate(value, 1, {}),
+    )
+    rep = entropy_sandwich_report(e, cat)
+    assert rep.expected_complexity == pytest.approx(value, rel=0, abs=1e-14)
+    assert (rep.lower_ok, rep.upper_ok) == (lower, upper)
 
 
 def test_sandwich_requires_prefix_catalog():

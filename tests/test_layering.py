@@ -9,7 +9,8 @@ The package also has one file edge: only ``fock.read_text`` and
 ``fock.write_text`` open files.  Input from outside is checked in full:
 the trusted constructors, which skip checks, are called only where the
 parts were checked already, never from ``cli`` or a ``read_*``/``load_*``
-function.
+function.  ``cli`` and ``experiments`` write no tolerance as a literal:
+each check reads a named constant of the module that owns its bound.
 """
 
 import ast
@@ -254,6 +255,39 @@ def test_trusted_constructors_only_take_checked_parts():
         ("qcode", "eigen_ensemble"),
         ("qcode", "encode_qstring"),
     ]
+
+
+def _small_float_literals(tree: ast.Module) -> list[int]:
+    """Lines of the float literals below 1e-3 in magnitude (zero aside)
+    outside module-level assignments to upper-case names."""
+    named = {
+        id(sub)
+        for node in tree.body
+        if isinstance(node, (ast.Assign, ast.AnnAssign))
+        and all(
+            isinstance(t, ast.Name) and t.id.isupper()
+            for t in (node.targets if isinstance(node, ast.Assign) else [node.target])
+        )
+        for sub in ast.walk(node)
+    }
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant)
+        and isinstance(node.value, float)
+        and 0.0 < abs(node.value) < 1e-3
+        and id(node) not in named
+    )
+
+
+@pytest.mark.parametrize("module", ["cli", "experiments"])
+def test_no_tolerance_literal_outside_named_constants(module):
+    path = SRC / f"{module}.py"
+    lines = _small_float_literals(ast.parse(path.read_text(), str(path)))
+    assert not lines, f"{module}.py has a tolerance literal on line(s) {lines}"
+    # The scan does see one, in a function or in a lower-case name.
+    probe = "TOL = 1e-9\nslack = 1e-9\ndef f(x):\n    return x <= 1.0 + 1e-12\n"
+    assert _small_float_literals(ast.parse(probe)) == [2, 4]
 
 
 def test_public_names_unchanged_and_resolvable():
