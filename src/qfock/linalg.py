@@ -5,6 +5,11 @@ codes, and machines built on bitstrings can move in and out of matrix
 form without bookkeeping at the call sites.  All logarithms are base 2;
 entropies are in bits.
 
+Quantum strings enter numpy in one place: ``_amplitude_rows`` lays k
+states out as k x d amplitude rows over the columns ``_labels`` gives
+their labels.  :func:`density_from_ensemble` mixes such rows in one
+product, and ``qcode`` builds its Gram matrix from them.
+
 The eigensolver is LAPACK's Hermitian ``eigh`` (through numpy), with
 the order of ties and the phase of each eigenvector fixed by this module
 rather than by the LAPACK build.  An operator is immutable, so it keeps
@@ -171,44 +176,45 @@ class SpectralDecomposition:
     eigenvectors: np.ndarray
 
 
-def ensemble_basis(e: Ensemble) -> tuple[str, ...]:
-    keys: set[str] = set()
-    for _, state in e:
-        keys.update(state.keys())
-    return tuple(sorted(keys, key=length_lex))
+def _labels(states: Iterable[QString]) -> dict[str, int]:
+    """Each label of ``states`` -> its column, in order of first appearance."""
+    index: dict[str, int] = {}
+    for state in states:
+        for bits in state.keys():
+            index.setdefault(bits, len(index))
+    return index
 
 
-def state_vector(state: QString, basis: Sequence[str]) -> np.ndarray:
-    """Embed a quantum string into the coordinate vector of ``basis``."""
-    index = {b: i for i, b in enumerate(basis)}
-    v = np.zeros(len(basis), dtype=complex)
-    for bits, amp in state.items():
-        try:
-            v[index[bits]] = amp
-        except KeyError:
-            raise DimensionMismatchError(
-                f"state term {bits!r} is outside the given basis"
-            ) from None
-    return v
+def _amplitude_rows(states: Sequence[QString], index: dict[str, int]) -> np.ndarray:
+    """The k x d matrix whose row i holds ``states[i]``'s amplitudes in
+    the columns ``index`` gives their labels, zero elsewhere."""
+    rows = []
+    for state in states:
+        row = [0j] * len(index)
+        for bits, amp in state.items():
+            row[index[bits]] = amp
+        rows.append(row)
+    return np.array(rows, dtype=complex)
 
 
 def density_from_ensemble(e: Ensemble | Iterable[tuple[float, QString]]) -> DensityOperator:
     """Mix the ensemble members into a density operator.
 
-    The basis is the union of all term labels in canonical order.  An
-    ``Ensemble`` keeps the operator, so every call on it returns the same
-    object, whose decomposition is then computed only once.
+    The basis is the union of all term labels in canonical order.  With
+    the members' amplitude rows ``M`` (k x d) and weights ``p`` the
+    operator is one product, ``(M.T * p) @ conj(M)``.  An ``Ensemble``
+    keeps the operator, so every call on it returns the same object,
+    whose decomposition is then computed only once.
     """
     if not isinstance(e, Ensemble):
         e = Ensemble(e)
     if e._rho is None:
-        basis = ensemble_basis(e)
+        states = [state for _, state in e]
+        basis = tuple(sorted(_labels(states), key=length_lex))
         _check_dim(len(basis), "ensemble dimension")
-        m = np.zeros((len(basis), len(basis)), dtype=complex)
-        for p, state in e:
-            v = state_vector(state, basis)
-            m += p * np.outer(v, v.conj())
-        e._rho = DensityOperator(basis, m)
+        m = _amplitude_rows(states, {b: i for i, b in enumerate(basis)})
+        p = np.array([weight for weight, _ in e])
+        e._rho = DensityOperator(basis, (m.T * p) @ m.conj())
     return e._rho
 
 

@@ -16,7 +16,7 @@ above the von Neumann entropy.
 
 Orthonormality of a code's source basis, and orthogonality of a family
 given to ``kraft_condensable_check``, are read off the states' Gram
-matrix, built as one matrix product over the union of their labels.
+matrix, one product of the amplitude rows ``linalg`` lays out for them.
 Its upper triangle is searched row by row, diagonal first, so a failure
 names the member or pair that a pairwise loop would have met first.
 
@@ -53,7 +53,7 @@ from .errors import (
     OutOfSpanError,
 )
 from .fock import AMP_FLOOR, ORTHO_TOL, SPAN_TOL, QString, average_length, inner_product
-from .linalg import DensityOperator, eig_hermitian, entropy_of_spectrum
+from .linalg import DensityOperator, _amplitude_rows, _labels, eig_hermitian, entropy_of_spectrum
 
 EIG_FLOOR = 1e-12
 # With a delta so large that nothing is pruned, enumerating the classes
@@ -62,45 +62,36 @@ EIG_FLOOR = 1e-12
 # a 2-vCPU VM.  The tests, demos and benchmark stay at or below (d=6,
 # n=14), 11,628 classes.
 LOSSY_CLASS_CAP = 1 << 20
+# Round-off slack for the float products n * (S + delta) and n * log2(dim),
+# which can land a few ulps above an integer they equal exactly.
+BUDGET_SNAP = 1e-12
 
 
 def _gram(states: Sequence[QString]) -> np.ndarray:
     """The Gram matrix ``G[i, j] = <states[i]|states[j]>`` as one product.
 
-    Row k of ``m`` holds state k's amplitudes over the union of all the
-    states' labels, so ``G = conj(m) @ m.T`` (that is, ``M^H M`` for the
-    column matrix ``M = m.T``).
+    Row k of ``m`` (``linalg._amplitude_rows``) holds state k's amplitudes
+    over the union of the states' labels, so ``G = conj(m) @ m.T`` (that
+    is, ``M^H M`` for the column matrix ``M = m.T``).
     """
-    index: dict[str, int] = {}
-    for state in states:
-        for bits in state.keys():
-            index.setdefault(bits, len(index))
-    rows = []
-    for state in states:
-        row = [0j] * len(index)
-        for bits, amp in state.items():
-            row[index[bits]] = amp
-        rows.append(row)
-    m = np.array(rows, dtype=complex)
+    m = _amplitude_rows(states, _labels(states))
     return m.conj() @ m.T
 
 
-def _gram_failure(
-    states: Sequence[QString], tol: float, *, norms: bool
-) -> tuple[int, int, float] | None:
-    """The first Gram entry of ``states`` that is off by more than ``tol``.
+def _gram_failure(states: Sequence[QString], *, norms: bool) -> tuple[int, int, float] | None:
+    """The first Gram entry of ``states`` that is off by more than ``ORTHO_TOL``.
 
     Entries are taken as a pairwise loop meets them: row by row over the
     upper triangle, each row's diagonal first.  A diagonal entry (checked
     only with ``norms``) fails when its real part, the squared norm, is
-    more than ``tol`` from 1, an off-diagonal one when its magnitude, the
-    overlap, exceeds ``tol``.  Returns ``(i, j, squared norm or overlap)``,
-    or None when every entry passes.
+    more than ``ORTHO_TOL`` from 1, an off-diagonal one when its
+    magnitude, the overlap, exceeds ``ORTHO_TOL``.  Returns ``(i, j,
+    squared norm or overlap)``, or None when every entry passes.
     """
     g = _gram(states)
     dev = np.abs(g)
     dev.flat[:: len(g) + 1] = np.abs(g.real.diagonal() - 1.0) if norms else 0.0
-    bad = dev > tol
+    bad = dev > ORTHO_TOL
     if not bad.any():
         return None
     # Only now pay for the ordered search.  |G[j, i]| equals |G[i, j]| up
@@ -123,7 +114,7 @@ class CondensableCode:
             raise ArityMismatchError(
                 f"codewords must be indexed 0..{len(basis) - 1} to match the basis"
             )
-        failure = _gram_failure(basis, ORTHO_TOL, norms=True)
+        failure = _gram_failure(basis, norms=True)
         if failure is not None:
             i, j, value = failure
             if i == j:
@@ -251,7 +242,7 @@ def kraft_condensable_check(states: Sequence[QString]) -> float:
     states = list(states)
     if not states:
         raise ValueError("no states given")
-    failure = _gram_failure(states, ORTHO_TOL, norms=False)
+    failure = _gram_failure(states, norms=False)
     if failure is not None:
         i, j, overlap = failure
         raise NotOrthogonalError(f"states {i} and {j} overlap by {overlap:.3e}")
@@ -298,12 +289,12 @@ def lossy_typical_projection(rho: DensityOperator, n: int, delta: float) -> Loss
     eigenvalues = eig_hermitian(rho).eigenvalues
     lams = [float(lam) for lam in eigenvalues if lam >= EIG_FLOOR]
     entropy = entropy_of_spectrum(eigenvalues)
-    budget_bits = n * (entropy + delta) - 1e-12
+    budget_bits = n * (entropy + delta) - BUDGET_SNAP
     if budget_bits == math.inf:
         raise InvalidDeltaError(f"delta {delta!r} overflows the {n}-copy budget")
     budget = math.ceil(budget_bits)
     raw_qubits = n * math.log2(rho.dim)
-    trivial = budget >= raw_qubits - 1e-12
+    trivial = budget >= raw_qubits - BUDGET_SNAP
 
     d_eff = len(lams)
     total_classes = math.comb(n + d_eff - 1, d_eff - 1)

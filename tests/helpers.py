@@ -19,7 +19,7 @@ from qfock import (
 from qfock.codes import PRUNE_SLACK, ceil_bits
 from qfock.complexity import DescriberMachine
 from qfock.errors import NoDescriberError, OutOfSpanError, QFockError
-from qfock.fock import check_bitstring, format_bits
+from qfock.fock import check_bitstring, format_bits, length_lex
 
 
 def random_unitary(rng, dim):
@@ -155,13 +155,23 @@ def amplitude_bits(state):
     return [(bits, a.real.hex(), a.imag.hex()) for bits, a in state.items()]
 
 
-def prefix_free(words):
-    """Quadratic independent check that no word prefixes another."""
-    for a in words:
-        for b in words:
-            if a != b and b.startswith(a):
-                return False
-    return True
+def density_by_outer_products(entries):
+    """``(basis, matrix)`` of an ensemble, one ``np.outer`` per member.
+
+    The loop ``linalg.density_from_ensemble`` ran before its one matrix
+    product: the union of the labels in ``length_lex`` order, and
+    ``p * outer(v, conj(v))`` added member by member, each ``v`` the
+    member's coordinate vector over that basis.
+    """
+    basis = sorted({bits for _, state in entries for bits in state.keys()}, key=length_lex)
+    index = {b: i for i, b in enumerate(basis)}
+    m = np.zeros((len(basis), len(basis)), dtype=complex)
+    for p, state in entries:
+        v = np.zeros(len(basis), dtype=complex)
+        for bits, amp in state.items():
+            v[index[bits]] = amp
+        m += p * np.outer(v, v.conj())
+    return tuple(basis), m
 
 
 def kraft_by_fractions(lengths):
@@ -214,6 +224,15 @@ def pairwise_gram_failure(states, tol=1e-8, *, norms=True, programs=None):
 
 # Labels of mixed length for the Gram-check families below.
 LABEL_POOL = ["", "0", "1", "00", "01", "10", "11", "010", "111", "0110"]
+
+
+def random_states_on(rng, supports):
+    """One random normalized QString over each label set of ``supports``."""
+    states = []
+    for labels in supports:
+        amps = rng.standard_normal(len(labels)) + 1j * rng.standard_normal(len(labels))
+        states.append(QString(dict(zip(labels, amps.tolist())), normalize=True))
+    return states
 
 
 def unnormalized(terms):

@@ -9,8 +9,8 @@ The package also has one file edge: only ``fock.read_text`` and
 ``fock.write_text`` open files.  Input from outside is checked in full:
 the trusted constructors, which skip checks, are called only where the
 parts were checked already, never from ``cli`` or a ``read_*``/``load_*``
-function.  ``cli`` and ``experiments`` write no tolerance as a literal:
-each check reads a named constant of the module that owns its bound.
+function.  No module writes a tolerance as a literal: each check reads
+a named constant of the module that owns its bound.
 """
 
 import ast
@@ -280,7 +280,7 @@ def _small_float_literals(tree: ast.Module) -> list[int]:
     )
 
 
-@pytest.mark.parametrize("module", ["cli", "experiments"])
+@pytest.mark.parametrize("module", sorted(path.stem for path in SRC.glob("*.py")))
 def test_no_tolerance_literal_outside_named_constants(module):
     path = SRC / f"{module}.py"
     lines = _small_float_literals(ast.parse(path.read_text(), str(path)))

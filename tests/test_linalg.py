@@ -30,9 +30,16 @@ from qfock import (
     von_neumann_entropy,
     write_ensemble_file,
 )
-from qfock.linalg import DIM_CAP
+from qfock.linalg import DIM_CAP, HERM_TOL, TRACE_TOL
 
-from helpers import count_eigh, jacobi_eigh, partial_trace_by_widths
+from helpers import (
+    LABEL_POOL,
+    count_eigh,
+    density_by_outer_products,
+    jacobi_eigh,
+    partial_trace_by_widths,
+    random_states_on,
+)
 
 RT2 = math.sqrt(2.0)
 
@@ -119,6 +126,36 @@ class TestEnsemble:
         assert again is not rho and again is not density_from_ensemble(members)
         assert again.basis == rho.basis
         assert again.matrix.tobytes() == rho.matrix.tobytes()
+
+
+@st.composite
+def ensemble_supports(draw):
+    """Label sets of ``LABEL_POOL`` (mixed lengths, overlapping), one per
+    member, and indices of members whose state is drawn again."""
+    supports = draw(
+        st.lists(st.sets(st.sampled_from(LABEL_POOL), min_size=1), min_size=1, max_size=14)
+    )
+    return [sorted(s) for s in supports], draw(st.lists(st.integers(0, 13), max_size=3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(members=ensemble_supports(), seed=st.integers(0, 2**32 - 1))
+@example(members=([["0110"]], []), seed=0)  # a single member
+@example(members=([["0", "01"], ["", "0"]], [0, 1, 0]), seed=1)  # repeated, k > d
+@example(members=([LABEL_POOL, ["1"]], []), seed=2)  # k < d
+def test_density_matches_the_outer_product_loop(members, seed):
+    supports, repeats = members
+    rng = np.random.default_rng(seed)
+    states = random_states_on(rng, supports)
+    states += [states[r % len(states)] for r in repeats]
+    weights = rng.uniform(0.05, 1.0, len(states))
+    entries = list(zip((weights / weights.sum()).tolist(), states))
+    rho = density_from_ensemble(entries)
+    basis, want = density_by_outer_products(entries)
+    assert rho.basis == basis
+    assert np.max(np.abs(rho.matrix - want)) <= 1e-15
+    assert np.max(np.abs(rho.matrix - rho.matrix.conj().T)) <= HERM_TOL
+    assert abs(np.trace(rho.matrix) - 1.0) <= TRACE_TOL
 
 
 # --- eigensolver ---------------------------------------------------------------

@@ -38,7 +38,7 @@ from qfock import (
 )
 from qfock.linalg import eig_hermitian
 from qfock.codes import CEIL_SNAP, _type_classes, ceil_bits
-from qfock.qcode import EIG_FLOOR, eigen_ensemble
+from qfock.qcode import EIG_FLOOR, _gram, eigen_ensemble
 
 from helpers import (
     LABEL_POOL,
@@ -48,6 +48,7 @@ from helpers import (
     lossy_by_compositions,
     pairwise_gram_failure,
     random_orthonormal_family,
+    random_states_on,
     random_unitary,
     stretch_norm,
     tilted_columns,
@@ -241,6 +242,19 @@ def test_gram_checks_match_the_pairwise_loop(seed, dim, tilts, stretch):
         k = stretch[0] % len(states)
         states[k] = stretch_norm(rng, states[k], stretch[1])
     _check_against_oracle(states)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    supports=st.lists(
+        st.sets(st.sampled_from(LABEL_POOL), min_size=1), min_size=1, max_size=14
+    ),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_gram_matches_pairwise_inner_products(supports, seed):
+    states = random_states_on(np.random.default_rng(seed), [sorted(s) for s in supports])
+    want = np.array([[inner_product(a, b) for b in states] for a in states])
+    assert np.max(np.abs(_gram(states) - want)) <= 1e-15
 
 
 def test_gram_checks_report_the_first_failure_row_by_row():
