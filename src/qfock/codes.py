@@ -81,8 +81,8 @@ def _type_classes(lams: Sequence[float], n: int, budget: int | None = None):
     and so never reads -0.0).  Without a budget every class is yielded;
     with an integer budget ``>= 0``, exactly those whose codeword length
     fits it.  The entries must be at least 1e-12 (``qcode.EIG_FLOOR``)
-    and ``n <= 64``.  Memory stays O(d * n): a stack of at most n + 1
-    children per part.
+    and ``n <= qcode.LOSSY_COPY_CAP`` (64).  Memory stays O(d * n): a
+    stack of at most n + 1 children per part.
 
     The walk keeps a stack of partial classes, one per fixed prefix of
     counts.  Three things keep it lean:
@@ -124,13 +124,14 @@ def _type_classes(lams: Sequence[float], n: int, budget: int | None = None):
     each of them costs at least ``cut_j = max(-log2 lams[j+1], 0)`` bits,
     so the prefix's partial length plus ``r * cut_j`` is a floor on every
     class below it, and a child whose floor exceeds ``budget +
-    PRUNE_SLACK`` is cut.  The slack is safe: with n <= 64 copies and
-    entries of at least 1e-12, every sum has at most 64 nonzero terms
-    totalling at most 64 * 40 bits, so round-off moves the floor and the
-    final sum by under 1e-10 bits, and a class fits only if its sum is
-    at most ``budget + CEIL_SNAP`` (1e-9).  The floor is clamped at 0;
-    that overstates it only for an entry that rounds above 1, by at most
-    64 * log2(that entry), far below the slack for a trace-one operator.
+    PRUNE_SLACK`` is cut.  The slack is safe: with ``LOSSY_COPY_CAP`` =
+    64 copies and entries of at least 1e-12, every sum has at most 64
+    nonzero terms totalling at most 64 * 40 bits, so round-off moves the
+    floor and the final sum by under 1e-10 bits, and a class fits only if
+    its sum is at most ``budget + CEIL_SNAP`` (1e-9).  The floor is
+    clamped at 0; that overstates it only for an entry that rounds above
+    1, by at most 64 * log2(that entry), far below the slack for a
+    trace-one operator.
 
     **The break.**  Each internal child loop runs the count k of part j
     from ``rem`` (the copies left) down and stops at the first cut.  In

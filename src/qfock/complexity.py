@@ -12,12 +12,12 @@ machine is therefore forced:
 
 A table machine indexes its programs by their outputs' basis strings.
 Two outputs overlap only on strings they share, so one pass over that
-index checks orthonormality, and a query reads only the programs listed
-under the state's strings.
+index checks orthogonality (each output, a ``QString``, checked its own
+unit norm), and a query reads only the programs under the state's strings.
 
 Those checks run once, where a table enters: ``DescriberMachine`` and
 the machine file readers check every program, prefix-freeness when the
-machine is flagged prefix, and orthonormality.  :func:`machine_from_code`
+machine is flagged prefix, and orthogonality.  :func:`machine_from_code`
 runs none of them again, because the condensable code it views already
 did, and neither does :func:`self_delimit_machine`, which recodes a
 machine that did; they are the two trusted paths.
@@ -152,30 +152,24 @@ class DescriberMachine:
     def _check_outputs_orthonormal(
         table: dict[str, QString], key_index: dict[str, list[str]]
     ) -> None:
-        # One pass over the label index sums every Gram entry that can be
-        # nonzero: rows[i][j] holds <v_i|v_j> for i <= j in table order.
-        # The smallest failing (i, j) is the first failure row by row, each
-        # row's diagonal first, as in qcode._gram_failure.
-        progs = list(table)
-        rank = {prog: i for i, prog in enumerate(progs)}
-        rows: list[dict[int, complex]] = [{} for _ in progs]
+        # Each output is a QString, so a unit vector already: only the
+        # overlaps <v_p|v_q>, p before q in table order, are summed, over
+        # the labels two or more outputs share.  The first failing pair
+        # row by row is reported, as in qcode._gram_failure.
+        gram: dict[tuple[str, str], complex] = {}
         for bits, listed in key_index.items():
-            terms = [(rank[p], table[p].amplitude(bits)) for p in listed]
-            for k, (i, a) in enumerate(terms):
-                a, row = a.conjugate(), rows[i]
-                for j, b in terms[k:]:
-                    row[j] = row.get(j, 0j) + a * b
-        # A squared norm's imaginary part is exactly 0, so |g - 1| is its
-        # distance from 1.
-        bad = [(i, j) for i, row in enumerate(rows) for j, g in row.items()
-               if abs(g - (i == j)) > ORTHO_TOL]
+            if len(listed) > 1:
+                terms = [(p, table[p].amplitude(bits)) for p in listed]
+                for k, (p, a) in enumerate(terms):
+                    for q, b in terms[k + 1:]:
+                        gram[p, q] = gram.get((p, q), 0j) + a.conjugate() * b
+        bad = [pair for pair, g in gram.items() if abs(g) > ORTHO_TOL]
         if bad:
-            i, j = min(bad)
-            g = rows[i][j]
-            a, b = repr(format_bits(progs[i])), repr(format_bits(progs[j]))
+            rank = {prog: i for i, prog in enumerate(table)}
+            p, q = min(bad, key=lambda pair: (rank[pair[0]], rank[pair[1]]))
             raise NotOrthonormalError(
-                f"output of program {a} has norm {g.real!r}" if i == j
-                else f"outputs of {a} and {b} overlap by {abs(g):.3e}"
+                f"outputs of {format_bits(p)!r} and {format_bits(q)!r} "
+                f"overlap by {abs(gram[p, q]):.3e}"
             )
 
     @property
@@ -444,7 +438,7 @@ def machine_from_code(code: CondensableCode) -> DescriberMachine:
     """View a condensable code as the machine decoding its codewords.
 
     The code has already checked everything the machine needs, so the
-    machine is built without a second check.  Its orthonormality test is
+    machine is built without a second check.  Its orthogonality test is
     the code's numpy Gram product; a machine built from the same table by
     ``DescriberMachine`` sums the entries in another order, and for an
     overlap within round-off of ``ORTHO_TOL`` the two may disagree.  The

@@ -40,6 +40,11 @@ class NotHermitianError(QFockError):
     """Matrix is not Hermitian within tolerance."""
 
 
+class TraceNotOneError(QFockError, ValueError):
+    """A density operator's trace is off 1 by more than ``TRACE_TOL``, which
+    a mix of weights and states that each pass their tolerance can reach."""
+
+
 class InvalidDistributionError(QFockError):
     """A probability vector is malformed (negative, tiny, or wrong sum)."""
 

@@ -358,7 +358,7 @@ def entropy_sandwich_report(e: Ensemble, cat: MachineCatalog) -> SandwichReport:
 class InequalitySpec:
     """A linear expression ``sum_W lambda_W S(rho^W)`` over subsystems 1..n."""
 
-    __slots__ = ("_n_parties", "_terms")
+    __slots__ = ("_n_parties", "_parts")
 
     def __init__(
         self, n_parties: int, terms: Sequence[tuple[Sequence[int], float]]
@@ -381,7 +381,7 @@ class InequalitySpec:
         if not clean:
             raise ValueError("no terms given")
         self._n_parties = n_parties
-        self._terms = tuple(clean)
+        self._parts = tuple(clean)
 
     @property
     def n_parties(self) -> int:
@@ -389,11 +389,11 @@ class InequalitySpec:
 
     @property
     def terms(self) -> tuple[tuple[frozenset[int], float], ...]:
-        return self._terms
+        return self._parts
 
     def __repr__(self) -> str:
         body = " + ".join(
-            f"{coeff:g}*S({''.join(map(str, sorted(w)))})" for w, coeff in self._terms
+            f"{coeff:g}*S({''.join(map(str, sorted(w)))})" for w, coeff in self._parts
         )
         return f"InequalitySpec({body})"
 

@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 from collections.abc import Iterable, Iterator, Mapping
 from contextvars import ContextVar
 
@@ -61,9 +62,9 @@ LENGTH_CAP = 1 << 20
 #: Tolerance on the squared norm of a state.
 NORM_TOL = 1e-9
 
-#: Tolerance on the norms and overlaps of states that must be orthonormal,
-#: the largest squared norm a state may leave outside a span, and the
-#: amplitude (or weight) at or below which a term counts as zero.
+#: Tolerance on the overlaps of orthonormal states (each QString checks its
+#: own norm), the largest squared norm a state may leave outside a span,
+#: and the amplitude (or weight) at or below which a term counts as zero.
 ORTHO_TOL = 1e-8
 SPAN_TOL = 1e-8
 AMP_FLOOR = 1e-12
@@ -180,8 +181,8 @@ def _unit_terms(
 
     With ``check`` each label is checked as a bitstring first.  Raises on a
     repeated label, on no nonzero term, and on a squared norm off 1 by
-    more than ``NORM_TOL`` (or, with ``normalize``, not positive and
-    finite).
+    more than ``NORM_TOL`` (or, with ``normalize``, not finite or below the
+    least normal float, whose ``1 / sqrt`` keeps too few bits to rescale).
     """
     pairs = terms.items() if isinstance(terms, Mapping) else terms
     clean: dict[str, complex] = {}
@@ -198,7 +199,7 @@ def _unit_terms(
     norm2 = sum(abs(a) ** 2 for a in clean.values())
     # Negated tests, so a NaN norm fails them instead of passing.
     if normalize:
-        if not 0.0 < norm2 < math.inf:
+        if not sys.float_info.min <= norm2 < math.inf:
             raise NotNormalizedError(f"cannot normalize squared norm {norm2!r}")
         scale = 1.0 / math.sqrt(norm2)
         clean = {b: a * scale for b, a in clean.items()}

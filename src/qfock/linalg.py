@@ -45,6 +45,7 @@ from .errors import (
     FormatError,
     NotHermitianError,
     ProbabilitiesDontSumError,
+    TraceNotOneError,
 )
 from .fock import (
     QString,
@@ -147,7 +148,7 @@ class DensityOperator:
         _check_hermitian(m)
         tr = complex(np.trace(m))
         if not abs(tr - 1.0) <= TRACE_TOL:  # negated, so a NaN trace fails it
-            raise ValueError(f"trace is {tr!r}, not 1")
+            raise TraceNotOneError(f"trace is {tr!r}, not 1")
         self._basis = labels
         self._matrix = m
         self._dec: SpectralDecomposition | None = None

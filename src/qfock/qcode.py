@@ -14,11 +14,11 @@ lengths ``ceil(-log2 eigenvalue)`` over the operator's eigenbasis, so
 the expected encoded length of the eigen-ensemble lands within one bit
 above the von Neumann entropy.
 
-Orthonormality of a code's source basis, and orthogonality of a family
-given to ``kraft_condensable_check``, are read off the states' Gram
-matrix, one product of the amplitude rows ``linalg`` lays out for them.
-Its upper triangle is searched row by row, diagonal first, so a failure
-names the member or pair that a pairwise loop would have met first.
+Each state is a ``QString``, so a unit vector: a code's source basis,
+and a family given to ``kraft_condensable_check``, need only be
+orthogonal.  The overlaps are read off the Gram matrix, one product of
+the amplitude rows ``linalg`` lays out, row by row over its upper
+triangle, so a failure names the pair a pairwise loop would meet first.
 
 ``lossy_typical_projection`` evaluates the induced fixed-budget lossy
 scheme on n copies analytically over type classes; nothing of size 2**n
@@ -62,6 +62,8 @@ EIG_FLOOR = 1e-12
 # a 2-vCPU VM.  The tests, demos and benchmark stay at or below (d=6,
 # n=14), 11,628 classes.
 LOSSY_CLASS_CAP = 1 << 20
+# The most copies lossy_typical_projection takes; codes.PRUNE_SLACK assumes it.
+LOSSY_COPY_CAP = 64
 # Round-off slack for the float products n * (S + delta) and n * log2(dim),
 # which can land a few ulps above an integer they equal exactly.
 BUDGET_SNAP = 1e-12
@@ -78,27 +80,24 @@ def _gram(states: Sequence[QString]) -> np.ndarray:
     return m.conj() @ m.T
 
 
-def _gram_failure(states: Sequence[QString], *, norms: bool) -> tuple[int, int, float] | None:
-    """The first Gram entry of ``states`` that is off by more than ``ORTHO_TOL``.
+def _gram_failure(states: Sequence[QString]) -> tuple[int, int, float] | None:
+    """The first pair of ``states`` whose overlap exceeds ``ORTHO_TOL``.
 
-    Entries are taken as a pairwise loop meets them: row by row over the
-    upper triangle, each row's diagonal first.  A diagonal entry (checked
-    only with ``norms``) fails when its real part, the squared norm, is
-    more than ``ORTHO_TOL`` from 1, an off-diagonal one when its
-    magnitude, the overlap, exceeds ``ORTHO_TOL``.  Returns ``(i, j,
-    squared norm or overlap)``, or None when every entry passes.
+    Pairs are taken row by row over the upper triangle, as a pairwise loop
+    meets them.  The diagonal, squared norms each ``QString`` checked
+    against ``NORM_TOL``, is skipped.  Returns ``(i, j, overlap)`` with
+    ``i < j``, or None when every pair passes.
     """
     g = _gram(states)
     dev = np.abs(g)
-    dev.flat[:: len(g) + 1] = np.abs(g.real.diagonal() - 1.0) if norms else 0.0
+    dev.flat[:: len(g) + 1] = 0.0
     bad = dev > ORTHO_TOL
     if not bad.any():
         return None
     # Only now pay for the ordered search.  |G[j, i]| equals |G[i, j]| up
     # to round-off, so a pair fails if either entry does.
-    bad = np.triu(bad | bad.T)
-    i, j = divmod(int(bad.argmax()), len(g))
-    return i, j, float(g.real[i, i] if i == j else dev[i, j])
+    i, j = divmod(int(np.triu(bad | bad.T).argmax()), len(g))
+    return i, j, float(dev[i, j])
 
 
 class CondensableCode:
@@ -114,12 +113,10 @@ class CondensableCode:
             raise ArityMismatchError(
                 f"codewords must be indexed 0..{len(basis) - 1} to match the basis"
             )
-        failure = _gram_failure(basis, norms=True)
+        failure = _gram_failure(basis)
         if failure is not None:
-            i, j, value = failure
-            if i == j:
-                raise NotOrthonormalError(f"member {i} has squared norm {value!r}")
-            raise NotOrthonormalError(f"members {i} and {j} overlap by {value:.3e}")
+            i, j, overlap = failure
+            raise NotOrthonormalError(f"members {i} and {j} overlap by {overlap:.3e}")
         self._basis = basis
         self._words = words
 
@@ -242,7 +239,7 @@ def kraft_condensable_check(states: Sequence[QString]) -> float:
     states = list(states)
     if not states:
         raise ValueError("no states given")
-    failure = _gram_failure(states, norms=False)
+    failure = _gram_failure(states)
     if failure is not None:
         i, j, overlap = failure
         raise NotOrthogonalError(f"states {i} and {j} overlap by {overlap:.3e}")
@@ -284,8 +281,8 @@ def lossy_typical_projection(rho: DensityOperator, n: int, delta: float) -> Loss
     if not 0.0 < delta < math.inf:  # also rejects NaN
         raise InvalidDeltaError(f"delta must be positive and finite, got {delta!r}")
     n = operator.index(n)
-    if not 1 <= n <= 64:
-        raise CapExceededError(f"copy count must be in 1..64, got {n}")
+    if not 1 <= n <= LOSSY_COPY_CAP:
+        raise CapExceededError(f"copy count must be in 1..{LOSSY_COPY_CAP}, got {n}")
     eigenvalues = eig_hermitian(rho).eigenvalues
     lams = [float(lam) for lam in eigenvalues if lam >= EIG_FLOOR]
     entropy = entropy_of_spectrum(eigenvalues)

@@ -19,7 +19,7 @@ from qfock import (
 from qfock.codes import PRUNE_SLACK, ceil_bits
 from qfock.complexity import DescriberMachine
 from qfock.errors import NoDescriberError, OutOfSpanError, QFockError
-from qfock.fock import check_bitstring, format_bits, length_lex
+from qfock.fock import check_bitstring, length_lex
 
 
 def random_unitary(rng, dim):
@@ -194,31 +194,18 @@ def kraft_by_fractions(lengths):
     return total
 
 
-def pairwise_gram_failure(states, tol=1e-8, *, norms=True, programs=None):
-    """First failure of a pairwise ``inner_product`` check, or None.
+def pairwise_gram_failure(states, tol=1e-8):
+    """First pair of a pairwise ``inner_product`` check, or None.
 
     The loop ``qcode`` ran before its Gram matrix: for each member i in
-    order, its squared norm (with ``norms``), then its overlap with every
-    later member.  The message is the one ``CondensableCode`` raises with
-    ``norms`` and the one ``kraft_condensable_check`` raises without.
-    With ``programs`` (one per state, in table order) it is the one a
-    ``DescriberMachine`` with those outputs raises, which names programs.
+    order, its overlap with every later member j.  Returns ``(i, j,
+    overlap)`` for the first overlap above ``tol``.
     """
     for i, a in enumerate(states):
-        if norms:
-            norm = inner_product(a, a).real
-            if abs(norm - 1.0) > tol:
-                if programs is not None:
-                    return f"output of program {format_bits(programs[i])!r} has norm {norm!r}"
-                return f"member {i} has squared norm {norm!r}"
         for j in range(i + 1, len(states)):
             ov = abs(inner_product(a, states[j]))
             if ov > tol:
-                if programs is not None:
-                    return (f"outputs of {format_bits(programs[i])!r} and "
-                            f"{format_bits(programs[j])!r} overlap by {ov:.3e}")
-                word = "members" if norms else "states"
-                return f"{word} {i} and {j} overlap by {ov:.3e}"
+                return i, j, ov
     return None
 
 
@@ -233,13 +220,6 @@ def random_states_on(rng, supports):
         amps = rng.standard_normal(len(labels)) + 1j * rng.standard_normal(len(labels))
         states.append(QString(dict(zip(labels, amps.tolist())), normalize=True))
     return states
-
-
-def unnormalized(terms):
-    """A QString holding ``terms`` as given, past the constructor's norm check."""
-    state = QString.__new__(QString)
-    state._terms = dict(terms)
-    return state
 
 
 def off_tolerance(rng, above):
@@ -266,17 +246,6 @@ def tilted_columns(rng, dim, tilts):
         for bits, amp in members[a].items():
             members[b][bits] = members[b].get(bits, 0j) + eps * amp
     return [QString(m, normalize=True) for m in members]
-
-
-def stretch_norm(rng, state, above):
-    """``state`` with its squared norm moved off 1 by ``off_tolerance``."""
-    eps = off_tolerance(rng, above)
-    return unnormalized({bits: amp * math.sqrt(1.0 + eps) for bits, amp in state.items()})
-
-
-def culprit(message):
-    """A Gram-check failure message without its number: what failed."""
-    return message.split(" overlap by ")[0].split(" has ")[0]
 
 
 def binomial_tail_success(p, n, budget):

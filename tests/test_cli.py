@@ -561,6 +561,28 @@ def test_partial_trace_over_the_dimension_cap_is_a_domain_error(workdir, capsys)
     assert json.loads(out)["error"]["type"] == "DimensionCapExceededError"
 
 
+@pytest.mark.parametrize(
+    "argv, trace",
+    [
+        (["entropy", "--rho", "edge.ens"], "1.0000000013"),
+        (["ineq", "--mode", "product", "--spec", "1=1;2=1;1,2=-1",
+          "--factor", "a.ens", "--factor", "a.ens"], "1.0000000018"),
+    ],
+)
+def test_a_trace_off_one_is_a_domain_error(argv, trace, workdir, capsys, monkeypatch):
+    # The weights pass PROB_TOL and the states NORM_TOL, yet the mix (or
+    # the tensor product of two) has a trace off 1 by more than TRACE_TOL.
+    (workdir / "edge.ens").write_text("0.5000000009 { 0:1,0 }\n0.5 { 1:1.0000000004,0 }\n")
+    (workdir / "a.ens").write_text("0.5000000009 { 0:1,0 }\n0.5 { 1:1,0 }\n")
+    monkeypatch.chdir(workdir)
+    code, out = run(capsys, argv)
+    assert code == 1
+    assert json.loads(out)["error"] == {
+        "type": "TraceNotOneError",
+        "message": f"trace is ({trace}+0j), not 1",
+    }
+
+
 def test_ineq_dims_entry_over_the_cap_is_a_domain_error(workdir, capsys):
     (workdir / "bell.ens").write_text("0.5 { 00:1,0 }\n0.5 { 11:1,0 }\n")
     code, out = run(capsys, [

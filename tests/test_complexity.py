@@ -43,6 +43,7 @@ from qfock import (
     write_machine_file,
 )
 from qfock.codes import canonical_prefix_code, kraft_sum_exact
+from qfock.fock import format_bits
 from qfock.complexity import (
     DescriberMachine,
     IdentityMachine,
@@ -53,15 +54,12 @@ from qfock.complexity import (
 from helpers import (
     LABEL_POOL,
     catalog_query_by_exhaustion,
-    culprit,
     identity_table,
     outcome,
     pairwise_gram_failure,
     random_orthonormal_family,
     random_qstring,
-    stretch_norm,
     tilted_columns,
-    unnormalized,
 )
 
 RT2 = math.sqrt(2.0)
@@ -142,41 +140,38 @@ def test_machine_complexity_orthogonal_superposed_outputs():
         st.tuples(st.integers(0, 9), st.integers(0, 9), st.booleans()), max_size=3
     ),
     singles=st.lists(st.tuples(st.sampled_from(LABEL_POOL), st.integers(0, 3)), max_size=3),
-    stretch=st.one_of(st.none(), st.tuples(st.integers(0, 12), st.booleans())),
 )
-def test_orthonormality_check_matches_the_pairwise_loop(seed, dim, tilts, singles, stretch):
+def test_orthonormality_check_matches_the_pairwise_loop(seed, dim, tilts, singles):
     # columns of a random unitary over mixed-length labels, some tilted
     # toward each other by clearly more or clearly less than the 1e-8
-    # tolerance, single-term outputs (which may collide with any output)
-    # placed anywhere in the table, and perhaps one stretched norm
+    # tolerance, and single-term outputs (which may collide with any
+    # output) placed anywhere in the table
     rng = np.random.default_rng(seed)
     outputs = tilted_columns(rng, dim, tilts)
     for bits, phase in singles:
         outputs.insert(int(rng.integers(len(outputs) + 1)), QString({bits: 1j**phase}))
-    if stretch is not None:
-        k = stretch[0] % len(outputs)
-        outputs[k] = stretch_norm(rng, outputs[k], stretch[1])
     pool = list(all_bitstrings(4))
     programs = [pool[i] for i in rng.permutation(len(pool))[: len(outputs)]]
-    want = pairwise_gram_failure(outputs, programs=programs)
+    want = pairwise_gram_failure(outputs)
     if want is None:
         DescriberMachine(dict(zip(programs, outputs)), prefix_flag=False)
     else:
-        with pytest.raises(NotOrthonormalError) as exc:
+        i, j, _ = want
+        a, b = format_bits(programs[i]), format_bits(programs[j])
+        with pytest.raises(NotOrthonormalError, match=f"^outputs of {a!r} and {b!r} overlap by "):
             DescriberMachine(dict(zip(programs, outputs)), prefix_flag=False)
-        assert culprit(str(exc.value)) == culprit(want)
 
 
 def test_orthonormality_check_reports_the_first_failure_row_by_row():
-    tilted = QString({"00": 1.0, "0": 1e-6}, normalize=True)
-    long = unnormalized({"1": math.sqrt(1.0 + 1e-6)})
-    # row '0' (its overlap with '11') comes before row '10' (its norm)
-    table = {"0": basis_state("0"), "10": long, "11": tilted}
-    with pytest.raises(NotOrthonormalError, match="^outputs of '0' and '11' overlap by 1.000e-06"):
-        DescriberMachine(table, prefix_flag=True)
-    # within row '10', its norm comes before its overlap with '110'
-    table = {"0": basis_state("11"), "10": long, "110": basis_state("1"), "111": tilted}
-    with pytest.raises(NotOrthonormalError, match="^output of program '10' has norm 1.000001"):
+    # Outputs '0' and '111', and '10' and '110', overlap by 1e-6 and no
+    # other pair does: row by row, ('0', '111') comes first.
+    table = {
+        "0": basis_state("00"),
+        "10": basis_state("1"),
+        "110": QString({"10": 1.0, "1": 1e-6}, normalize=True),
+        "111": QString({"01": 1.0, "00": 1e-6}, normalize=True),
+    }
+    with pytest.raises(NotOrthonormalError, match="^outputs of '0' and '111' overlap by 1.000e-06$"):
         DescriberMachine(table, prefix_flag=True)
 
 

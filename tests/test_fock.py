@@ -1,4 +1,6 @@
+import cmath
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -28,7 +30,7 @@ from qfock import (
     sequence_encode,
     write_qstring_file,
 )
-from qfock.fock import LENGTH_CAP, format_inline_state, is_bitstring, parse_inline_state
+from qfock.fock import LENGTH_CAP, NORM_TOL, format_inline_state, is_bitstring, parse_inline_state
 
 from helpers import (
     amplitude_bits,
@@ -67,6 +69,16 @@ class TestQString:
                 QString({"0": amp})
             with pytest.raises(NotNormalizedError):
                 QString({"0": amp}, normalize=True)
+
+    def test_normalize_rejects_a_subnormal_squared_norm(self):
+        # 1 / sqrt of a subnormal squared norm keeps only a few bits:
+        # rescaled by it, the first two would have squared norms 1.0120
+        # and 0.9108.
+        for amp, norm2 in ((1e-161, "2e-322"), (3e-162, "2e-323"), (1e-162, "0.0")):
+            with pytest.raises(
+                NotNormalizedError, match=f"^cannot normalize squared norm {norm2}$"
+            ):
+                QString({"0": amp, "1": amp}, normalize=True)
 
     def test_duplicate_pairs_rejected(self):
         with pytest.raises(DuplicateKeyError):
@@ -251,6 +263,28 @@ def test_from_checked_matches_the_checked_constructor(pairs, as_dict, unit, norm
         assert amplitude_bits(got[1]) == amplitude_bits(want[1])
     else:
         assert got == want
+
+
+@settings(max_examples=300)
+@given(
+    st.lists(
+        st.tuples(st.floats(-170, 150), st.floats(0, 2 * math.pi)), min_size=1, max_size=8
+    ),
+    st.booleans(),
+)
+@example([(-161, 0.0), (-161, 0.0)], True)
+@example([(-170, 0.0), (150, 1.0)], True)
+def test_every_accepted_state_is_a_unit_vector(parts, normalize):
+    # amplitudes 10**e * exp(i * phase) over distinct labels
+    terms = {format(k, "b"): cmath.rect(10.0**e, phase) for k, (e, phase) in enumerate(parts)}
+    try:
+        state = QString(terms, normalize=normalize)
+    except NotNormalizedError as exc:
+        if normalize:  # only a squared norm outside the normal floats
+            norm2 = float(str(exc).rsplit(" ", 1)[1])
+            assert not sys.float_info.min <= norm2 < math.inf
+        return
+    assert abs(sum(abs(a) ** 2 for a in state.terms.values()) - 1.0) <= NORM_TOL
 
 
 def test_self_delimit_keeps_the_length_cap():

@@ -10,7 +10,8 @@ The package also has one file edge: only ``fock.read_text`` and
 the trusted constructors, which skip checks, are called only where the
 parts were checked already, never from ``cli`` or a ``read_*``/``load_*``
 function.  No module writes a tolerance as a literal: each check reads
-a named constant of the module that owns its bound.
+a named constant of the module that owns its bound.  A ``QString`` gets
+its terms only from ``fock._unit_terms``, so every one is a unit vector.
 """
 
 import ast
@@ -254,6 +255,74 @@ def test_trusted_constructors_only_take_checked_parts():
         ("fock", "self_delimit"),
         ("qcode", "eigen_ensemble"),
         ("qcode", "encode_qstring"),
+    ]
+
+
+def _terms_assignments(tree: ast.Module) -> list[tuple[str, str | None]]:
+    """``(enclosing Class.function, assigned call)`` for each assignment
+    to a ``_terms`` attribute.
+
+    The call is the name of the function whose result is assigned, or
+    None for any other value, an augmented assignment or a call that
+    names the attribute (``setattr``).
+    """
+    found: list[tuple[str, str | None]] = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Assign):
+                targets = child.targets
+            elif isinstance(child, (ast.AugAssign, ast.AnnAssign)):
+                targets = [child.target]
+            else:
+                targets = []
+            if any(
+                isinstance(t, ast.Attribute) and t.attr == "_terms"
+                for target in targets
+                for t in ast.walk(target)
+            ):
+                value = child.value
+                call = (
+                    value.func.id
+                    if isinstance(child, ast.Assign)
+                    and isinstance(value, ast.Call)
+                    and isinstance(value.func, ast.Name)
+                    else None
+                )
+                found.append((where, call))
+            if isinstance(child, ast.Call) and any(
+                isinstance(arg, ast.Constant) and arg.value == "_terms" for arg in child.args
+            ):
+                found.append((where, None))
+            scope = isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, f"{where}.{child.name}".lstrip(".") if scope else where)
+
+    visit(tree, "")
+    return found
+
+
+def test_a_qstring_gets_its_terms_only_from_unit_terms():
+    # Unit norm is a QString invariant: the Gram checks in qcode and
+    # complexity compare overlaps only, on that promise.
+    assignments = [
+        (path.stem, where, call)
+        for path in sorted(SRC.glob("*.py"))
+        for where, call in _terms_assignments(ast.parse(path.read_text(), str(path)))
+    ]
+    assert assignments == [
+        ("fock", "QString.__init__", "_unit_terms"),
+        ("fock", "QString._from_checked", "_unit_terms"),
+    ]
+    # The scan does see the other ways in.
+    probe = (
+        "def f(s, t):\n"
+        "    s._terms = dict(t)\n"
+        "    s._terms |= t\n"
+        "    s.a, s._terms = 1, t\n"
+        "    setattr(s, '_terms', t)\n"
+    )
+    assert _terms_assignments(ast.parse(probe)) == [
+        ("f", "dict"), ("f", None), ("f", None), ("f", None)
     ]
 
 
